@@ -56,6 +56,17 @@ def format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _children(raw: dict, where: str) -> list[dict]:
+    """The node's nonempty list of child objects."""
+    kids = raw.get("children")
+    if not isinstance(kids, list) or not kids:
+        raise DocumentError(f"{where}.children: expected a nonempty list")
+    for j, kid in enumerate(kids):
+        if not isinstance(kid, dict):
+            raise DocumentError(f"{where}.children[{j}]: expected an object, got {kid!r}")
+    return kids
+
+
 def parse_game(text: str) -> Game:
     """Parse, normalize, and validate a game document."""
     try:
@@ -104,9 +115,7 @@ def parse_game(text: str) -> Game:
             nodes[nid] = Leaf()
             utility[nid] = _parse_rational(raw.get("payoff"), f"{where}.payoff")
         elif kind == "chance":
-            kids_raw = raw.get("children")
-            if not isinstance(kids_raw, list) or not kids_raw:
-                raise DocumentError(f"{where}.children: expected a nonempty list")
+            kids_raw = _children(raw, where)
             nodes[nid] = ChanceNode(())
             probs = []
             kids = []
@@ -118,9 +127,7 @@ def parse_game(text: str) -> Game:
         elif kind == "player":
             if "infoset" not in raw:
                 raise DocumentError(f"{where}: missing 'infoset'")
-            kids_raw = raw.get("children")
-            if not isinstance(kids_raw, list) or not kids_raw:
-                raise DocumentError(f"{where}.children: expected a nonempty list")
+            kids_raw = _children(raw, where)
             nodes[nid] = PlayerNode(str(raw["infoset"]), ())
             pairs = []
             for j, kid in enumerate(kids_raw):

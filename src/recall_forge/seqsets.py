@@ -153,31 +153,21 @@ def components(ss: SequenceSet) -> list[SequenceSet]:
     return [ss.with_sequences(c) for c in _components(ss)]
 
 
-def is_connected(ss: SequenceSet) -> bool:
-    return len(_components(ss)) <= 1
+def branches(
+    seqs: frozenset[Sequence], info: InformationSet
+) -> list[tuple[Action, frozenset[Sequence]]]:
+    """The branch step of the set recursions: fix `info`.
 
-
-def quotient_by_action(ss: SequenceSet, action: Action) -> SequenceSet:
-    """Sequences containing `action`, with it removed; deduplicated."""
-    if action not in ss.alphabet:
-        raise GameError(f"unknown action {action!r}")
-    out = {
-        tuple(a for a in s if a != action)
-        for s in ss.sequences
-        if action in s
-    }
-    return ss.with_sequences(out)
-
-
-def residual_without_infoset(ss: SequenceSet, infoset_id: str) -> SequenceSet:
-    """Sequences that contain no action of the given information set."""
-    acts = None
-    for i in ss.infosets:
-        if i.id == infoset_id:
-            acts = set(i.actions)
-    if acts is None:
-        raise GameError(f"unknown information set {infoset_id!r}")
-    return ss.with_sequences(s for s in ss.sequences if not acts & set(s))
+    For each action a of `info`, in declaration order: the sequences that
+    contain a, with a removed, plus the residual, the sequences sharing no
+    action with `info` (empty when `info` covers the set).
+    """
+    acts = set(info.actions)
+    residual = frozenset(s for s in seqs if acts.isdisjoint(s))
+    return [
+        (a, residual.union(tuple(x for x in s if x != a) for s in seqs if a in s))
+        for a in info.actions
+    ]
 
 
 def covering_infoset(ss: SequenceSet) -> Optional[InformationSet]:

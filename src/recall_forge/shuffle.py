@@ -25,6 +25,7 @@ from .seqsets import (
     Sequence,
     SequenceSet,
     _components,
+    branches,
     covering_infoset,
     extract_histories,
     is_alr_set,
@@ -68,21 +69,16 @@ def salr_witness(ss: SequenceSet) -> SalrResult:
             if not failure:
                 failure.append(sub)
             return None
-        acts = set(info.actions)
         out = {}
-        for a in info.actions:
-            with_a = [s for s in sub.sorted_sequences() if a in s]
-            if not with_a:
+        for a, quot in branches(seqs, info):
+            if not quot:
                 continue
-            quot = {s: tuple(x for x in s if x != a) for s in with_a}
-            got = rec(frozenset(quot.values()))
+            got = rec(quot)
             if got is None:
                 return None
-            for s in with_a:
-                out[s] = (a,) + got[quot[s]]
-        # sequences with some other action of the covering set were handled
-        # in that action's branch; every sequence has exactly one such action
-        assert all(s in out for s in seqs if acts & set(s))
+            out.update((s, (a,) + got[tuple(x for x in s if x != a)]) for s in seqs if a in s)
+        # the covering set touches every sequence, each in one action's branch
+        assert len(out) == len(seqs)
         return out
 
     mapping = rec(ss.sequences)

@@ -35,6 +35,7 @@ from .seqsets import (
     Sequence,
     SequenceSet,
     _components,
+    branches,
     covering_infoset,
     find_strongly_branching_subset,
     is_alr_set,
@@ -79,7 +80,6 @@ def _strip_epsilon(seqs: frozenset[Sequence]) -> frozenset[Sequence]:
 def _minimal_span_set(ss: SequenceSet, stats: Optional[SpanStats] = None) -> frozenset[Sequence]:
     """Smallest A-loss-recall span of the set, as a set of sequences."""
     memo: dict[frozenset[Sequence], frozenset[Sequence]] = {}
-    acts_of = {i.id: set(i.actions) for i in ss.infosets}
 
     def rec(seqs: frozenset[Sequence]) -> frozenset[Sequence]:
         seqs = _strip_epsilon(seqs)
@@ -98,36 +98,14 @@ def _minimal_span_set(ss: SequenceSet, stats: Optional[SpanStats] = None) -> fro
             result = frozenset().union(*(rec(c) for c in comps))
         else:
             cover = covering_infoset(sub)
-            if cover is not None:
-                result = _branch(seqs, cover, residual=frozenset())
-            else:
-                used = {a for s in seqs for a in s}
-                best: Optional[frozenset[Sequence]] = None
-                for info in ss.infosets:
-                    if not acts_of[info.id] & used:
-                        continue
-                    residual = frozenset(
-                        s for s in seqs if not acts_of[info.id] & set(s)
-                    )
-                    cand = _branch(seqs, info, residual)
-                    if best is None or len(cand) < len(best):
-                        best = cand
-                assert best is not None
-                result = best
+            tried = [cover] if cover is not None else sub.present_infosets()
+            candidates = (
+                frozenset((a,) + t for a, q in branches(seqs, info) for t in rec(q))
+                for info in tried
+            )
+            result = min(candidates, key=len)  # the first smallest wins ties
         memo[seqs] = result
         return result
-
-    def _branch(
-        seqs: frozenset[Sequence], info: InformationSet, residual: frozenset[Sequence]
-    ) -> frozenset[Sequence]:
-        out: set[Sequence] = set()
-        for a in info.actions:
-            quot = frozenset(
-                tuple(x for x in s if x != a) for s in seqs if a in s
-            )
-            sub_span = rec(quot | residual)
-            out.update((a,) + t for t in sub_span)
-        return frozenset(out)
 
     return rec(ss.sequences)
 
@@ -150,7 +128,6 @@ def shuffle_depth(ss: SequenceSet) -> int:
     disconnected case takes the maximum over components.
     """
     memo: dict[frozenset[Sequence], int] = {}
-    acts_of = {i.id: set(i.actions) for i in ss.infosets}
 
     def rec(seqs: frozenset[Sequence]) -> int:
         seqs = _strip_epsilon(seqs)
@@ -166,22 +143,10 @@ def shuffle_depth(ss: SequenceSet) -> int:
         elif salr_witness(sub).has_salr:
             ans = 0
         else:
-            used = {a for s in seqs for a in s}
-            best: Optional[int] = None
-            for info in ss.infosets:
-                if not acts_of[info.id] & used:
-                    continue
-                residual = frozenset(s for s in seqs if not acts_of[info.id] & set(s))
-                worst = 0
-                for a in info.actions:
-                    quot = frozenset(
-                        tuple(x for x in s if x != a) for s in seqs if a in s
-                    )
-                    worst = max(worst, rec(quot | residual))
-                if best is None or worst < best:
-                    best = worst
-            assert best is not None
-            ans = 1 + best
+            ans = 1 + min(
+                max(rec(q) for _, q in branches(seqs, info))
+                for info in sub.present_infosets()
+            )
         memo[seqs] = ans
         return ans
 
@@ -200,10 +165,11 @@ def verify_span(original: SequenceSet, candidate: SequenceSet) -> Optional[SpanC
     if not is_alr_set(candidate):
         raise GameError("candidate is not an A-loss-recall set")
     combos: dict[Sequence, frozenset[Sequence]] = {}
+    ordered = candidate.sorted_sequences()
     for s in original.sorted_sequences():
         needed = set(s)
         quot_source: dict[Sequence, Sequence] = {}
-        for cand in candidate.sorted_sequences():
+        for cand in ordered:
             if needed <= set(cand):
                 q = tuple(a for a in cand if a not in needed)
                 quot_source.setdefault(q, cand)

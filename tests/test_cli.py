@@ -188,7 +188,10 @@ def test_cli_shuffle_exit_codes(tmp_path):
     bad_doc = serialize_game(gen_pennies("III", 3))
     code, out, err = run(["shuffle"], stdin_text=bad_doc)
     assert code == 2
-    assert "no s-alr" in err
+    assert err == (
+        "no s-alr (no covering information set for "
+        "{H_A0 H_BH, H_A0 T_BH, T_A0 H_BT, T_A0 T_BT, ...})\n"
+    )
 
 
 def test_cli_span_transform_pipeline(tmp_path):
@@ -286,6 +289,14 @@ def test_cli_usage_errors():
     assert code == 1
     code, _, err = run(["gen", "pennies", "--variant", "IV", "--n", "3"])
     assert code == 1
+    # a child that is not an object is a document error, not a traceback
+    infosets = [{"id": "I", "owner": "max", "actions": ["a"]}]
+    for kind, kids, shown in (("chance", [5], "5"), ("player", ["x"], "'x'")):
+        root = {"kind": kind, "infoset": "I", "children": kids}
+        doc = json.dumps({"version": 1, "players": ["max"], "infosets": infosets, "root": root})
+        code, _, err = run(["solve"], stdin_text=doc)
+        assert code == 1
+        assert err == f"error: root.children[0]: expected an object, got {shown}\n"
 
 
 def test_cli_guard_exit_code(monkeypatch):

@@ -1,0 +1,32 @@
+"""Smoke tests: the scripts under scripts/ run against the current package."""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, *args):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_worked_examples_script():
+    out = run_script("worked_examples.py")
+    assert "== two players" in out
+
+
+def test_bench_spans_script():
+    out = run_script("bench_spans.py", "--n-max", "3")
+    lines = out.splitlines()
+    assert lines[0] == "n,histories,span_size,shuffle_depth,subproblems,wall_ms"
+    assert len(lines) == 4

@@ -10,13 +10,12 @@ from recall_forge.model import MAX, GameError, InformationSet, RecallClass, clas
 from recall_forge.generators import FamilyParams, gen_pennies, gen_random
 from recall_forge.seqsets import (
     SequenceSet,
+    branches,
     components,
     extract_histories,
     find_strongly_branching_subset,
     is_alr_set,
     is_strongly_branching,
-    quotient_by_action,
-    residual_without_infoset,
 )
 from recall_forge.generators import gen_lowerbound
 
@@ -88,23 +87,31 @@ def test_is_alr_set_examples():
     assert is_alr_set(SequenceSet(seqs(""), PAIR))
 
 
-def test_quotient_by_action():
+def test_branches():
     infos = build_shuffle_demo().structure.infosets
-    ss = SequenceSet(SHUFFLE_DEMO_SET, infos)
-    assert quotient_by_action(ss, "a").sequences == seqs("b", "bbar", "c", "cbar")
-    assert quotient_by_action(ss, "b").sequences == seqs("a", "abar")
-    one = SequenceSet(seqs("a"), infos[2:])
-    assert quotient_by_action(one, "a").sequences == seqs("")
-    assert quotient_by_action(one, "abar").sequences == frozenset()
-
-
-def test_residual_without_infoset():
+    # I3 = {a, abar} touches every sequence: the branches are the quotients
+    by_action = dict(branches(SHUFFLE_DEMO_SET, infos[2]))
+    assert list(by_action) == ["a", "abar"]
+    assert by_action["a"] == seqs("b", "bbar", "c", "cbar")
+    # I1 = {b, bbar} misses the c side, which rides along as the residual
+    c_side = seqs("c a", "c abar", "cbar a", "cbar abar")
+    assert dict(branches(SHUFFLE_DEMO_SET, infos[0])) == {
+        "b": seqs("a", "abar") | c_side,
+        "bbar": seqs("a", "abar") | c_side,
+    }
+    assert branches(seqs("a"), infos[2]) == [("a", seqs("")), ("abar", frozenset())]
+    # fixing L3 keeps lowerbound-2 as the residual; the quotients on a3 and
+    # b3 add only epsilon, since every other quotient is a level-1/2 singleton
     lb3 = gen_lowerbound(3)
     lb2 = gen_lowerbound(2)
-    assert residual_without_infoset(lb3, "L3").sequences == lb2.sequences
-    ss = SequenceSet(seqs("a c", "b d"), PAIR)
-    assert residual_without_infoset(ss, "I1").sequences == frozenset()
-    assert residual_without_infoset(SequenceSet(frozenset(), PAIR), "I1").sequences == frozenset()
+    l3 = next(i for i in lb3.infosets if i.id == "L3")
+    assert branches(lb3.sequences, l3) == [
+        ("a3", lb2.sequences | seqs("")),
+        ("b3", lb2.sequences | seqs("")),
+    ]
+    # a covered set has an empty residual, and the empty set stays empty
+    assert dict(branches(seqs("a c", "b d"), PAIR[0])) == {"a": seqs("c"), "b": seqs("d")}
+    assert branches(frozenset(), PAIR[0]) == [("a", frozenset()), ("b", frozenset())]
 
 
 def test_strongly_branching_basics():
@@ -140,9 +147,8 @@ def test_components_partition_property(seed):
     assert sum(len(c) for c in comps) == len(ss)
     # quotients never retain the quotiented infoset
     for info in THREE_BINARY:
-        for a in info.actions:
-            q = quotient_by_action(ss, a)
-            assert all(not set(info.actions) & set(s) for s in q.sequences)
+        for _, q in branches(ss.sequences, info):
+            assert all(not set(info.actions) & set(s) for s in q)
 
 
 @given(st.integers(min_value=0, max_value=10_000))

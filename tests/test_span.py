@@ -266,7 +266,7 @@ def test_strongly_branching_iff_sum_collapses_to_one():
 def _sd_oracle(ss: SequenceSet) -> int:
     """Definitional shuffle depth, with the permutation oracle deciding
     the base case; only usable on tiny sets."""
-    from recall_forge.seqsets import residual_without_infoset
+    from recall_forge.seqsets import branches
     from recall_forge.shuffle import salr_bruteforce_oracle
     from recall_forge.span import _strip_epsilon
 
@@ -282,12 +282,7 @@ def _sd_oracle(ss: SequenceSet) -> int:
     best = None
     for info in sub.present_infosets():
         worst = 0
-        for a in info.actions:
-            from recall_forge.seqsets import quotient_by_action
-
-            nxt = quotient_by_action(sub, a).sequences | residual_without_infoset(
-                sub, info.id
-            ).sequences
+        for _, nxt in branches(seqs_, info):
             worst = max(worst, _sd_oracle(sub.with_sequences(nxt)))
         if best is None or worst < best:
             best = worst
