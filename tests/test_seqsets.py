@@ -89,10 +89,24 @@ def test_is_alr_set_examples():
 
 def test_branches():
     infos = build_shuffle_demo().structure.infosets
+    # one branch per action, in declaration order
+    assert [a for a, _ in branches(SHUFFLE_DEMO_SET, infos[2])] == ["a", "abar"]
+    assert [a for a, _ in branches(SHUFFLE_DEMO_SET, infos[0])] == ["b", "bbar"]
+    # each branch is the quotient on its action plus the residual
+    for info in infos:
+        acts = set(info.actions)
+        residual = frozenset(s for s in SHUFFLE_DEMO_SET if acts.isdisjoint(s))
+        for a, q in branches(SHUFFLE_DEMO_SET, info):
+            quotient = frozenset(
+                tuple(x for x in s if x != a) for s in SHUFFLE_DEMO_SET if a in s
+            )
+            assert q == quotient | residual
+
+
+def test_quotient_by_action():
+    infos = build_shuffle_demo().structure.infosets
     # I3 = {a, abar} touches every sequence: the branches are the quotients
-    by_action = dict(branches(SHUFFLE_DEMO_SET, infos[2]))
-    assert list(by_action) == ["a", "abar"]
-    assert by_action["a"] == seqs("b", "bbar", "c", "cbar")
+    assert dict(branches(SHUFFLE_DEMO_SET, infos[2]))["a"] == seqs("b", "bbar", "c", "cbar")
     # I1 = {b, bbar} misses the c side, which rides along as the residual
     c_side = seqs("c a", "c abar", "cbar a", "cbar abar")
     assert dict(branches(SHUFFLE_DEMO_SET, infos[0])) == {
@@ -100,6 +114,9 @@ def test_branches():
         "bbar": seqs("a", "abar") | c_side,
     }
     assert branches(seqs("a"), infos[2]) == [("a", seqs("")), ("abar", frozenset())]
+
+
+def test_residual_without_infoset():
     # fixing L3 keeps lowerbound-2 as the residual; the quotients on a3 and
     # b3 add only epsilon, since every other quotient is a level-1/2 singleton
     lb3 = gen_lowerbound(3)
