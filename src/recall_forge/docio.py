@@ -67,12 +67,18 @@ def _children(raw: dict, where: str) -> list[dict]:
     return kids
 
 
-def parse_game(text: str) -> Game:
-    """Parse, normalize, and validate a game document."""
+def _load_json(text: str) -> Any:
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError("not valid JSON: nested too deeply") from None
+
+
+def parse_game(text: str) -> Game:
+    """Parse, normalize, and validate a game document."""
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise DocumentError("top level must be an object")
     if doc.get("version") != FORMAT_VERSION:
@@ -206,10 +212,7 @@ def serialize_certificate(cert: SpanCertificate) -> str:
 
 
 def parse_certificate(text: str) -> SpanCertificate:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"not valid JSON: {exc}") from None
+    doc = _load_json(text)
     if not isinstance(doc, dict) or doc.get("version") != FORMAT_VERSION:
         raise DocumentError("unsupported certificate document")
     try:

@@ -9,9 +9,8 @@ derived from that declaration order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Optional
+from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple, NoReturn, Optional
 
 from .model import (
     Action,
@@ -28,15 +27,69 @@ Sequence = tuple[Action, ...]
 EPSILON: Sequence = ()
 
 
+class _Universe(NamedTuple):
+    """Lookup tables that depend only on the infoset tuple.
+
+    Built when a set is constructed from its infosets; `with_sequences`
+    hands them on, so every derived subset shares them.  Positions are
+    declaration order.
+    """
+
+    alphabet: dict[Action, str]  # action -> infoset id
+    sort_key: dict[Action, tuple[int, int]]  # action -> (infoset, action) position
+    bit: dict[Action, int]  # action -> 1 << infoset position
+
+
+def _universe(infosets: tuple[InformationSet, ...]) -> _Universe:
+    alphabet: dict[Action, str] = {}
+    sort_key: dict[Action, tuple[int, int]] = {}
+    bit: dict[Action, int] = {}
+    ids: set[str] = set()
+    for i, info in enumerate(infosets):
+        if info.id in ids:
+            raise GameError(f"duplicate information set id {info.id!r}")
+        ids.add(info.id)
+        for j, a in enumerate(info.actions):
+            if a in alphabet:
+                raise GameError(f"action {a!r} appears in both {alphabet[a]!r} and {info.id!r}")
+            alphabet[a] = info.id
+            sort_key[a] = (i, j)
+            bit[a] = 1 << i
+    return _Universe(alphabet, sort_key, bit)
+
+
 @dataclass(frozen=True)
 class SequenceSet:
-    """A deduplicated set of sequences over a fixed infoset universe."""
+    """A deduplicated set of sequences over a fixed infoset universe.
+
+    Construction checks every sequence: each action must belong to an
+    infoset of the universe, and no two actions to the same one.
+    """
 
     sequences: frozenset[Sequence]
     infosets: tuple[InformationSet, ...]
+    # shared lookup tables, not part of the value (== and hash ignore it)
+    universe: Optional[_Universe] = field(default=None, compare=False, repr=False)
+    # each sequence's infoset bitmask (bit k: `infosets[k]`)
+    masks: dict[Sequence, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        known = self.alphabet
+        if self.universe is None:
+            object.__setattr__(self, "universe", _universe(self.infosets))
+        get = self.universe.bit.__getitem__
+        try:
+            masks = {s: sum(map(get, s)) for s in self.sequences}
+        except KeyError:
+            self._reject()
+        # a sum of n infoset bits has n bits set when the bits are distinct
+        # and fewer otherwise, so the totals agree iff every sequence is valid
+        if sum(map(int.bit_count, masks.values())) != sum(map(len, masks)):
+            self._reject()
+        object.__setattr__(self, "masks", masks)
+
+    def _reject(self) -> NoReturn:
+        """Raise for the first invalid sequence."""
+        known = self.universe.alphabet
         for s in self.sequences:
             seen: set[str] = set()
             for a in s:
@@ -48,39 +101,26 @@ class SequenceSet:
                         f"sequence {' '.join(s)!r} repeats information set {info!r}"
                     )
                 seen.add(info)
-
-    @cached_property
-    def alphabet(self) -> dict[Action, str]:
-        out: dict[Action, str] = {}
-        for i in self.infosets:
-            for a in i.actions:
-                out[a] = i.id
-        return out
-
-    @cached_property
-    def _sort_key(self) -> dict[Action, tuple[int, int]]:
-        return {
-            a: (i, j)
-            for i, info in enumerate(self.infosets)
-            for j, a in enumerate(info.actions)
-        }
+        raise AssertionError("every sequence is valid")
 
     def seq_key(self, s: Sequence) -> tuple[tuple[int, int], ...]:
-        return tuple(self._sort_key[a] for a in s)
+        return tuple(map(self.universe.sort_key.__getitem__, s))
 
     def sorted_sequences(self) -> list[Sequence]:
         return sorted(self.sequences, key=self.seq_key)
 
     def with_sequences(self, sequences: Iterable[Sequence]) -> SequenceSet:
-        return SequenceSet(frozenset(sequences), self.infosets)
+        return SequenceSet(frozenset(sequences), self.infosets, self.universe)
 
     def infoset_of(self, action: Action) -> str:
-        return self.alphabet[action]
+        return self.universe.alphabet[action]
 
     def present_infosets(self) -> list[InformationSet]:
         """Infosets with at least one action occurring in some sequence."""
-        used = {a for s in self.sequences for a in s}
-        return [i for i in self.infosets if any(a in used for a in i.actions)]
+        used = 0
+        for m in self.masks.values():
+            used |= m
+        return [info for k, info in enumerate(self.infosets) if used >> k & 1]
 
     def __len__(self) -> int:
         return len(self.sequences)
@@ -112,40 +152,32 @@ def extract_histories(structure: GameStructure, player: Optional[str] = None) ->
 
 
 def _components(ss: SequenceSet) -> list[frozenset[Sequence]]:
-    """Connected components; the empty sequence is always its own component."""
-    seqs = ss.sorted_sequences()
-    parent: dict[str, str] = {}
+    """Connected components; the empty sequence is always its own component.
 
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: str, y: str) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for s in seqs:
-        for a in s:
-            parent.setdefault(ss.infoset_of(a), ss.infoset_of(a))
-        for a, b in zip(s, s[1:]):
-            union(ss.infoset_of(a), ss.infoset_of(b))
-
-    buckets: dict[Optional[str], list[Sequence]] = {}
-    order: list[Optional[str]] = []
-    for s in seqs:
-        root = find(ss.infoset_of(s[0])) if s else None
-        if root not in buckets:
-            buckets[root] = []
-            order.append(root)
-        buckets[root].append(s)
-    if None in buckets and len(order) > 1:
-        # keep epsilon first for a stable layout
-        order.remove(None)
-        order.insert(0, None)
-    return [frozenset(buckets[k]) for k in order]
+    Sequences connect when their infoset masks overlap.  Components are
+    ordered by their smallest member in `seq_key` order, so an epsilon
+    component comes first.
+    """
+    seqs = ss.sequences
+    masks = ss.masks
+    groups: list[int] = []  # disjoint unions of overlapping masks
+    for m in set(masks.values()):
+        rest = []
+        for g in groups:
+            if g & m:
+                m |= g
+            else:
+                rest.append(g)
+        rest.append(m)
+        groups = rest
+    if len(groups) <= 1:
+        return [seqs] if seqs else []
+    buckets: dict[int, list[Sequence]] = {g: [] for g in groups}
+    for s, m in masks.items():
+        # epsilon's mask 0 overlaps nothing and is a group of its own
+        buckets[next(g for g in groups if g & m or g == m)].append(s)
+    ordered = sorted(buckets.values(), key=lambda b: min(map(ss.seq_key, b)))
+    return [frozenset(b) for b in ordered]
 
 
 def components(ss: SequenceSet) -> list[SequenceSet]:
@@ -162,21 +194,29 @@ def branches(
     contain a, with a removed, plus the residual, the sequences sharing no
     action with `info` (empty when `info` covers the set).
     """
-    acts = set(info.actions)
-    residual = frozenset(s for s in seqs if acts.isdisjoint(s))
-    return [
-        (a, residual.union(tuple(x for x in s if x != a) for s in seqs if a in s))
-        for a in info.actions
-    ]
+    quotients: dict[Action, list[Sequence]] = {a: [] for a in info.actions}
+    residual: list[Sequence] = []
+    for s in seqs:
+        for k, x in enumerate(s):
+            quotient = quotients.get(x)
+            if quotient is not None:  # a sequence holds one action per infoset
+                quotient.append(s[:k] + s[k + 1 :])
+                break
+        else:
+            residual.append(s)
+    return [(a, frozenset(residual + q)) for a, q in quotients.items()]
 
 
 def covering_infoset(ss: SequenceSet) -> Optional[InformationSet]:
     """First infoset (declaration order) touching every sequence, if any."""
-    for info in ss.infosets:
-        acts = set(info.actions)
-        if ss.sequences and all(acts & set(s) for s in ss.sequences):
-            return info
-    return None
+    if not ss.sequences:
+        return None
+    common = -1
+    for m in ss.masks.values():
+        common &= m
+        if not common:
+            return None
+    return ss.infosets[(common & -common).bit_length() - 1]
 
 
 def leading_infoset(ss: SequenceSet) -> Optional[InformationSet]:
@@ -223,7 +263,11 @@ def is_alr_set(ss: SequenceSet) -> bool:
         memo[seqs] = ans
         return ans
 
-    return rec(ss.sequences)
+    result = rec(ss.sequences)
+    # `rec` refers to itself, so without this the memo would live on
+    # until the cycle collector runs
+    memo.clear()
+    return result
 
 
 def is_strongly_branching(ss: SequenceSet) -> bool:
@@ -290,6 +334,7 @@ def find_strongly_branching_subset(ss: SequenceSet) -> Optional[SequenceSet]:
         return found
 
     got = rec(ss.sequences)
+    memo.clear()  # see is_alr_set
     if got is None:
         return None
     return ss.with_sequences(got)

@@ -30,6 +30,7 @@ from .seqsets import (
     extract_histories,
     is_alr_set,
 )
+from .span import structure_from_sequences
 
 
 @dataclass(frozen=True)
@@ -113,8 +114,6 @@ def shuffle_structure(structure: GameStructure) -> Optional[GameStructure]:
     monomials as the input.  Returns None when the input's histories do
     not have shuffled A-loss recall.
     """
-    from .span import structure_from_sequences
-
     for p in structure.players():
         if classify_recall(structure, p) is RecallClass.ABSENTMINDED:
             raise GameError(f"player {p!r} is absentminded")

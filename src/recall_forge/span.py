@@ -40,7 +40,6 @@ from .seqsets import (
     find_strongly_branching_subset,
     is_alr_set,
 )
-from .shuffle import salr_witness
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,9 @@ def _minimal_span_set(ss: SequenceSet, stats: Optional[SpanStats] = None) -> fro
         memo[seqs] = result
         return result
 
-    return rec(ss.sequences)
+    result = rec(ss.sequences)
+    memo.clear()  # see seqsets.is_alr_set
+    return result
 
 
 def minimal_span(ss: SequenceSet, stats: Optional[SpanStats] = None) -> SpanCertificate:
@@ -125,7 +126,12 @@ def shuffle_depth(ss: SequenceSet) -> int:
     remaining subproblem has shuffled A-loss recall.
 
     Zero exactly when the set itself has shuffled A-loss recall; the
-    disconnected case takes the maximum over components.
+    disconnected case takes the maximum over components.  A connected set
+    has depth 0 exactly when it has a covering infoset and every branch of
+    that infoset has depth 0: this is the shuffled-A-loss-recall recursion
+    of `salr_witness`, whose verdict does not depend on which covering
+    infoset is fixed.  Those branch depths are also candidates of the
+    `1 + min(max ...)` step, so the memo computes them once.
     """
     memo: dict[frozenset[Sequence], int] = {}
 
@@ -140,17 +146,21 @@ def shuffle_depth(ss: SequenceSet) -> int:
         comps = _components(sub)
         if len(comps) > 1:
             ans = max(rec(c) for c in comps)
-        elif salr_witness(sub).has_salr:
-            ans = 0
         else:
-            ans = 1 + min(
-                max(rec(q) for _, q in branches(seqs, info))
-                for info in sub.present_infosets()
-            )
+            cover = covering_infoset(sub)
+            if cover is not None and all(rec(q) == 0 for _, q in branches(seqs, cover)):
+                ans = 0
+            else:
+                ans = 1 + min(
+                    max(rec(q) for _, q in branches(seqs, info))
+                    for info in sub.present_infosets()
+                )
         memo[seqs] = ans
         return ans
 
-    return rec(ss.sequences)
+    result = rec(ss.sequences)
+    memo.clear()  # see seqsets.is_alr_set
+    return result
 
 
 def verify_span(original: SequenceSet, candidate: SequenceSet) -> Optional[SpanCertificate]:
@@ -165,12 +175,12 @@ def verify_span(original: SequenceSet, candidate: SequenceSet) -> Optional[SpanC
     if not is_alr_set(candidate):
         raise GameError("candidate is not an A-loss-recall set")
     combos: dict[Sequence, frozenset[Sequence]] = {}
-    ordered = candidate.sorted_sequences()
+    ordered = [(cand, frozenset(cand)) for cand in candidate.sorted_sequences()]
     for s in original.sorted_sequences():
         needed = set(s)
         quot_source: dict[Sequence, Sequence] = {}
-        for cand in ordered:
-            if needed <= set(cand):
+        for cand, acts in ordered:
+            if needed <= acts:
                 q = tuple(a for a in cand if a not in needed)
                 quot_source.setdefault(q, cand)
         sb = find_strongly_branching_subset(

@@ -282,7 +282,7 @@ def test_cli_gen_lowerbound_span_size():
     assert len(span_game.structure.leaves()) == 64
 
 
-def test_cli_usage_errors():
+def test_cli_usage_errors(tmp_path):
     code, _, err = run(["solve", "/nonexistent/game.json"])
     assert code == 1
     code, _, err = run(["solve"], stdin_text="{not json")
@@ -297,6 +297,21 @@ def test_cli_usage_errors():
         code, _, err = run(["solve"], stdin_text=doc)
         assert code == 1
         assert err == f"error: root.children[0]: expected an object, got {shown}\n"
+    # nesting deeper than the JSON decoder's recursion limit is a document
+    # error too, for games and for certificates
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"a":' * 1200 + "1" + "}" * 1200)
+    game = tmp_path / "game.json"
+    game.write_text(serialize_game(gen_pennies("III", 3)))
+    for argv in (
+        ["classify", str(deep)],
+        ["span", str(deep)],
+        ["transform", str(game), "--certificate", str(deep)],
+    ):
+        code, out, err = run(argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: not valid JSON: nested too deeply\n"
 
 
 def test_cli_guard_exit_code(monkeypatch):

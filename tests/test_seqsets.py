@@ -3,15 +3,17 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recall_forge.model import MAX, GameError, InformationSet, RecallClass, classify_recall
 from recall_forge.generators import FamilyParams, gen_pennies, gen_random
 from recall_forge.seqsets import (
     SequenceSet,
+    _components,
     branches,
     components,
+    covering_infoset,
     extract_histories,
     find_strongly_branching_subset,
     is_alr_set,
@@ -33,6 +35,21 @@ PAIR = (
     InformationSet("I2", MAX, ("c", "d")),
     InformationSet("I3", MAX, ("e", "f")),
 )
+
+# five infosets, so short sequences often fall into several components
+FIVE = tuple(InformationSet(f"J{k}", MAX, (f"x{k}", f"y{k}", f"z{k}")) for k in range(5))
+
+
+@st.composite
+def sequence_sets(draw) -> SequenceSet:
+    """Up to 8 sequences over FIVE, each up to 3 actions from distinct
+    infosets in any order; the empty sequence is drawn too."""
+    out = set()
+    for _ in range(draw(st.integers(0, 8))):
+        order = draw(st.permutations(range(len(FIVE))))
+        length = draw(st.integers(0, 3))
+        out.add(tuple(draw(st.sampled_from(FIVE[k].actions)) for k in order[:length]))
+    return SequenceSet(frozenset(out), FIVE)
 
 
 def test_extract_histories_perfect_recall(perfect_recall_demo):
@@ -151,6 +168,86 @@ def test_sequence_set_rejects_repeated_infoset():
         SequenceSet(seqs("a b"), PAIR)  # a and b are both I1 actions
     with pytest.raises(GameError):
         SequenceSet(seqs("a z"), PAIR)
+
+
+def test_derived_sets_are_validated():
+    # subsets share the parent's lookup tables and are still checked
+    ss = SequenceSet(seqs("a c", "b e"), PAIR)
+    assert ss.with_sequences(seqs("c a")).universe is ss.universe
+    with pytest.raises(GameError, match="repeats information set 'I1'"):
+        ss.with_sequences(seqs("a c", "a b"))
+    with pytest.raises(GameError, match="unknown action 'z'"):
+        ss.with_sequences(seqs("a z"))
+    # the shared tables are not part of the value
+    assert ss.with_sequences(ss.sequences) == SequenceSet(ss.sequences, PAIR)
+
+
+def test_sequence_set_rejects_ambiguous_universe():
+    # an action or an id that names two infosets would make the shared
+    # tables ambiguous
+    twice = PAIR + (InformationSet("I4", MAX, ("a", "g")),)
+    with pytest.raises(GameError, match="action 'a' appears in both 'I1' and 'I4'"):
+        SequenceSet(seqs("a c"), twice)
+    same_id = PAIR + (InformationSet("I1", MAX, ("g", "h")),)
+    with pytest.raises(GameError, match="duplicate information set id 'I1'"):
+        SequenceSet(seqs("a c"), same_id)
+
+
+def _components_oracle(ss: SequenceSet) -> list[frozenset]:
+    """Sort the sequences, join the infosets of adjacent actions, and bucket
+    the sequences by the root of their first infoset in first-seen order;
+    epsilon forms its own bucket, moved to the front."""
+    key = {a: (i, j) for i, info in enumerate(ss.infosets) for j, a in enumerate(info.actions)}
+    owner = {a: info.id for info in ss.infosets for a in info.actions}
+    ordered = sorted(ss.sequences, key=lambda s: [key[a] for a in s])
+    parent = {owner[a]: owner[a] for s in ordered for a in s}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for s in ordered:
+        for a, b in zip(s, s[1:]):
+            parent[find(owner[b])] = find(owner[a])
+    buckets: dict = {}
+    for s in ordered:
+        buckets.setdefault(find(owner[s[0]]) if s else None, []).append(s)
+    if None in buckets:
+        buckets = {None: buckets.pop(None), **buckets}
+    return [frozenset(b) for b in buckets.values()]
+
+
+@given(sequence_sets())
+@example(SequenceSet(seqs("", "c", "a", "e"), PAIR))
+@example(SequenceSet(seqs("e", "c", "", "a e", "d"), PAIR))
+@example(SequenceSet(seqs("x4", "y1 x2", "z0", "x3 y0"), FIVE))
+@settings(max_examples=300, deadline=None)
+def test_components_order_matches_sorted_buckets(ss):
+    assert _components(ss) == _components_oracle(ss)
+
+
+@given(sequence_sets())
+@settings(max_examples=300, deadline=None)
+def test_bitmask_lookups_match_definitions(ss):
+    used = {a for s in ss.sequences for a in s}
+    touching = [
+        info for info in ss.infosets
+        if all(set(info.actions) & set(s) for s in ss.sequences)
+    ]
+    expected_cover = touching[0] if ss.sequences and touching else None
+    assert covering_infoset(ss) == expected_cover
+    assert ss.present_infosets() == [
+        info for info in ss.infosets if any(a in used for a in info.actions)
+    ]
+
+
+@given(sequence_sets())
+@settings(max_examples=200, deadline=None)
+def test_branch_outputs_are_valid_sets(ss):
+    for info in ss.infosets:
+        for _, q in branches(ss.sequences, info):
+            assert ss.with_sequences(q).sequences == q
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from recall_forge.model import (
     MAX,
     GameError,
+    InformationSet,
     RecallClass,
     classify_recall,
 )
@@ -18,6 +19,7 @@ from recall_forge.polynomials import monomial_sum, canonicalize
 from recall_forge.seqsets import (
     SequenceSet,
     components,
+    covering_infoset,
     extract_histories,
     is_alr_set,
     is_strongly_branching,
@@ -105,6 +107,36 @@ def test_shuffle_depth_zero_iff_salr():
     for seed in range(40):
         ss = random_realizable_set(random.Random(seed))
         assert (shuffle_depth(ss) == 0) == salr_witness(ss).has_salr
+
+
+def test_shuffle_depth_zero_iff_salr_on_families():
+    # depth 0 is decided by the covering infoset's branches, not by a
+    # separate shuffle-witness search; both must agree on every family
+    for variant in ("I", "II", "III"):
+        for n in range(2, 9):
+            ss = extract_histories(gen_pennies(variant, n).structure)
+            assert (shuffle_depth(ss) == 0) == salr_witness(ss).has_salr
+    for n in range(1, 7):
+        ss = gen_lowerbound(n)
+        assert (shuffle_depth(ss) == 0) == salr_witness(ss).has_salr
+    # a covering infoset alone is not enough: X covers the set below, but
+    # its x branch is the span demo, which has no shuffled A-loss recall
+    infosets = (InformationSet("X", MAX, ("x", "y")),) + build_span_demo().structure.infosets
+    covered = SequenceSet(frozenset({("x",) + s for s in SPAN_DEMO_SET} | {("y",)}), infosets)
+    assert covering_infoset(covered).id == "X"
+    assert not salr_witness(covered).has_salr
+    assert shuffle_depth(covered) == 2
+
+
+def test_pennies_iii_search_counters():
+    # (subproblems, memo lookups) of the span search and the shuffle depth
+    expected = {8: (115, 556), 14: (1008, 8026), 16: (2031, 18156)}
+    for n, counters in expected.items():
+        ss = extract_histories(gen_pennies("III", n).structure)
+        stats = SpanStats()
+        minimal_span(ss, stats)
+        assert (stats.subproblems, stats.lookups) == counters
+        assert shuffle_depth(ss) == 2
 
 
 def test_verify_span_layered_combinations():
