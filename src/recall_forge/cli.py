@@ -4,12 +4,16 @@ Every subcommand is a thin wrapper over the library: stdout is a pure
 function of the input files and flags (the bench command's wall-clock
 column is the one exception).  Exit codes: 0 success, 1 usage or parse
 error, 2 negative mathematical answer (no shuffle witness, a failed span
-verification), 3 guarded size limit exceeded.
+verification), 3 guarded size limit exceeded.  A reader that closes
+stdout early (`recall-forge solve g.json | head -1`) ends the run with
+exit 1 and no message.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import os
 import sys
 import time
 from typing import Optional, Sequence as Seq
@@ -47,12 +51,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
@@ -60,11 +64,17 @@ def _write(path: Optional[str], text: str, stdout) -> None:
     if path is None or path == "-":
         stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on the first call and reused after it, so
+    a process that runs many commands builds it once."""
     parser = _Parser(prog="recall-forge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -125,9 +135,8 @@ def _build_parser() -> _Parser:
 def cli_main(argv: Seq[str], stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parser().parse_args(list(argv))
         return _dispatch(args, stdout, stderr)
     except UsageError as exc:
         stderr.write(f"error: {exc}\n")
@@ -254,7 +263,17 @@ def _dispatch(args, stdout, stderr) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main(sys.argv[1:]))
+    try:
+        code = cli_main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so the flush at
+        # interpreter exit cannot raise again (the recipe in the Python
+        # docs for SIGPIPE).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

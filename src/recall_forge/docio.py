@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .model import (
@@ -155,6 +156,57 @@ def parse_game(text: str) -> Game:
     return game
 
 
+def _dumps(doc: Any) -> str:
+    """`json.dumps(doc, indent=2)`, for documents of str, int, list, tuple
+    and str-keyed dict, written in one pass.
+
+    With `indent` set the standard library runs its pure-Python encoder;
+    this builds each container with one join and escapes strings with the
+    same C escaper.  A tuple of strings (a sequence, which recurs across a
+    certificate's span and generator lists) is encoded once per nesting
+    level.  Any other type raises `TypeError`, so the text never differs
+    from `json.dumps`.
+    """
+    memo: dict[tuple[tuple[str, ...], int], str] = {}
+
+    def enc(o: Any, level: int) -> str:
+        kind = type(o)
+        if kind is str:
+            return encode_basestring_ascii(o)
+        if kind is int:
+            return repr(o)
+        if kind is tuple:
+            key = (o, level)
+            try:
+                return memo[key]
+            except (KeyError, TypeError):  # TypeError: holds a list or dict
+                pass
+        if kind is list or kind is tuple:
+            if not o:
+                return "[]"
+            inner = "\n" + "  " * (level + 1)
+            parts = []
+            for x in o:
+                parts.append(enc(x, level + 1))
+            text = "[" + inner + ("," + inner).join(parts) + inner[:-2] + "]"
+            # Only tuples of str are kept: (1,) == (True,), but one is an
+            # int and the other a bool the writer must refuse.
+            if kind is tuple and all(type(x) is str for x in o):
+                memo[key] = text
+            return text
+        if kind is dict:
+            if not o:
+                return "{}"
+            inner = "\n" + "  " * (level + 1)
+            parts = []
+            for k, v in o.items():  # the escaper raises TypeError on a non-str key
+                parts.append(encode_basestring_ascii(k) + ": " + enc(v, level + 1))
+            return "{" + inner + ("," + inner).join(parts) + inner[:-2] + "}"
+        raise TypeError(f"cannot write {kind.__name__} to a document")
+
+    return enc(doc, 0)
+
+
 def _node_doc(game: Game, nid: NodeId) -> dict[str, Any]:
     node = game.structure.nodes[nid]
     if isinstance(node, Leaf):
@@ -181,34 +233,30 @@ def serialize_game(game: Game) -> str:
         "version": FORMAT_VERSION,
         "players": list(game.structure.players()),
         "infosets": [
-            {"id": i.id, "owner": i.owner, "actions": list(i.actions)}
+            {"id": i.id, "owner": i.owner, "actions": i.actions}
             for i in game.structure.infosets
         ],
         "root": _node_doc(game, game.structure.root),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _dumps(doc) + "\n"
 
 
 def serialize_certificate(cert: SpanCertificate) -> str:
+    original = cert.original.sorted_sequences()
     doc = {
         "version": FORMAT_VERSION,
         "infosets": [
-            {"id": i.id, "owner": i.owner, "actions": list(i.actions)}
+            {"id": i.id, "owner": i.owner, "actions": i.actions}
             for i in cert.original.infosets
         ],
-        "original": [list(s) for s in cert.original.sorted_sequences()],
-        "span": [list(s) for s in cert.span.sorted_sequences()],
+        "original": original,
+        "span": cert.span.sorted_sequences(),
         "combinations": [
-            {
-                "sequence": list(s),
-                "generators": sorted(
-                    [list(g) for g in cert.combinations[s]]
-                ),
-            }
-            for s in cert.original.sorted_sequences()
+            {"sequence": s, "generators": sorted(cert.combinations[s])}
+            for s in original
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _dumps(doc) + "\n"
 
 
 def parse_certificate(text: str) -> SpanCertificate:

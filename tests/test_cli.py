@@ -312,6 +312,90 @@ def test_cli_usage_errors(tmp_path):
         assert code == 1
         assert out == ""
         assert err == "error: not valid JSON: nested too deeply\n"
+    # an output path that cannot be written, and an input that is not UTF-8
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{\x00}\x00")
+    missing = tmp_path / "missing" / "x.json"
+    for argv, message in (
+        (["span", str(game), "-o", str(missing)], f"error: cannot write {missing}: "),
+        (["span", str(game), "--certificate", str(missing)], f"error: cannot write {missing}: "),
+        (["classify", str(utf16)], f"error: cannot read {utf16}: 'utf-8' codec can't decode"),
+    ):
+        code, _, err = run(argv)
+        assert code == 1
+        assert err.startswith(message)
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert "Traceback" not in err
+
+
+def test_cli_reuses_one_parser(tmp_path):
+    """Commands run one after another in a process share one argument
+    parser; each must behave as it does with a freshly built one."""
+    from recall_forge import cli
+
+    src = tmp_path / "game.json"
+    src.write_text(serialize_game(gen_pennies("III", 3)))
+    commands = [
+        ["span", str(src), "-o", str(tmp_path / "span.json"), "--certificate", str(tmp_path / "cert.json")],
+        ["span", str(src)],
+        ["solve", str(src), "--method", "nope"],
+        ["gen", "random", "--seed", "1"],
+    ]
+
+    def outcome(argv):
+        for name in ("span.json", "cert.json"):
+            (tmp_path / name).unlink(missing_ok=True)
+        result = run(argv)
+        files = tuple(
+            (tmp_path / name).read_text() if (tmp_path / name).exists() else None
+            for name in ("span.json", "cert.json")
+        )
+        return result, files
+
+    fresh = []
+    for argv in commands:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    cli._parser.cache_clear()
+    shared = [outcome(argv) for argv in commands]
+    assert cli._parser.cache_info().misses == 1
+    assert shared == fresh
+    codes = [code for (code, _, _), _ in shared]
+    assert codes == [0, 0, 1, 0]
+    assert shared[0][1][0] == shared[1][0][1]  # -o wrote what stdout shows
+    assert shared[1][1] == (None, None)  # the earlier paths did not stick
+
+
+def test_cli_closed_stdout_pipe():
+    """A reader that stops early ends the run with exit 1, not a traceback.
+
+    The output (about 1.2 MB) is larger than a pipe buffer, so the writer
+    is still writing when the pipe closes.  The child runs with buffered
+    stdout: with PYTHONUNBUFFERED set, the text layer drops the rest of a
+    short write without raising, so no error would be seen at all.
+    """
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "recall_forge.cli", "gen", "lowerbound", "--n", "40"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == ""
 
 
 def test_cli_guard_exit_code(monkeypatch):
@@ -336,6 +420,9 @@ GOLDEN_CASES = [
     (["span"], ("lowerbound", 2), "span_lowerbound_n2.json"),
     (["span"], ("lowerbound", 3), "span_lowerbound_n3.json"),
     (["sd"], ("pennies", "III"), "sd_pennies_III_n3.txt"),
+    # the span game, then its certificate, both on stdout
+    (["span", "--certificate", "-"], ("pennies", "III"), "span_certificate_pennies_III_n3.json"),
+    (["span", "--certificate", "-"], ("lowerbound", 3), "span_certificate_lowerbound_n3.json"),
 ]
 
 
