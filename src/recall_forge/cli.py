@@ -263,6 +263,18 @@ def _dispatch(args, stdout, stderr) -> int:
 
 
 def main() -> None:
+    if sys.stdout.write_through:
+        # Unbuffered stdout (PYTHONUNBUFFERED, python -u) drops the rest of
+        # a short write to a closed pipe without raising.  A buffered
+        # writer retries short writes, so the closed pipe raises
+        # BrokenPipeError below.
+        sys.stdout = open(
+            sys.stdout.fileno(),
+            "w",
+            encoding=sys.stdout.encoding,
+            errors=sys.stdout.errors,
+            closefd=False,
+        )
     try:
         code = cli_main(sys.argv[1:])
         sys.stdout.flush()

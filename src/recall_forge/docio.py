@@ -33,6 +33,7 @@ from .model import (
 )
 from .seqsets import Sequence, SequenceSet
 from .span import SpanCertificate
+from .transform import uniform_chance
 
 FORMAT_VERSION = 1
 
@@ -288,14 +289,5 @@ def parse_certificate(text: str) -> SpanCertificate:
 def structure_as_game(structure: GameStructure) -> Game:
     """Wrap a bare structure as a document-ready game: uniform chance,
     zero payoffs."""
-    chance = {
-        nid: tuple(Fraction(1, len(node.children)) for _ in node.children)
-        for nid, node in structure.nodes.items()
-        if isinstance(node, ChanceNode)
-    }
-    utility = {
-        nid: Fraction(0)
-        for nid, node in structure.nodes.items()
-        if isinstance(node, Leaf)
-    }
-    return Game(structure=structure, chance=chance, utility=utility)
+    utility = {nid: Fraction(0) for nid in structure.leaves()}
+    return Game(structure=structure, chance=uniform_chance(structure), utility=utility)

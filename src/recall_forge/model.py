@@ -14,6 +14,7 @@ no floats appear in any result.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -102,10 +103,6 @@ class GameStructure:
         return out
 
     @cached_property
-    def infoset_index(self) -> dict[str, int]:
-        return {i.id: k for k, i in enumerate(self.infosets)}
-
-    @cached_property
     def parent_edge(self) -> dict[NodeId, tuple[NodeId, Optional[Action]]]:
         """Child id -> (parent id, action label or None for chance edges)."""
         out: dict[NodeId, tuple[NodeId, Optional[Action]]] = {}
@@ -117,6 +114,32 @@ class GameStructure:
                 for a, c in node.children:
                     out[c] = (nid, a)
         return out
+
+    @cached_property
+    def histories(self) -> dict[NodeId, tuple[Action, ...]]:
+        """Node -> action labels on its root path, chance edges skipped.
+
+        Filled top-down in one preorder pass; like `parent_edge`, it
+        assumes the structure is not mutated after first use.
+        """
+        out: dict[NodeId, tuple[Action, ...]] = {self.root: ()}
+        for nid in self.preorder():
+            node = self.nodes[nid]
+            if isinstance(node, ChanceNode):
+                for c in node.children:
+                    out[c] = out[nid]
+            elif isinstance(node, PlayerNode):
+                for a, c in node.children:
+                    out[c] = out[nid] + (a,)
+        return out
+
+    @cached_property
+    def recall_classes(self) -> dict[str, RecallClass]:
+        """Each player's recall class, computed once the structure validates."""
+        problems = validate(self)
+        if problems:
+            raise GameError("invalid structure: " + "; ".join(problems))
+        return {p: _classify(self, p) for p in self.players()}
 
     def leaves(self) -> list[NodeId]:
         return [nid for nid in self.preorder() if isinstance(self.nodes[nid], Leaf)]
@@ -139,12 +162,6 @@ class GameStructure:
             if isinstance(self.nodes[nid], PlayerNode) and self.nodes[nid].infoset == infoset_id
         ]
 
-    def owner_of_node(self, nid: NodeId) -> Optional[str]:
-        node = self.nodes[nid]
-        if isinstance(node, PlayerNode):
-            return self.infoset_by_id[node.infoset].owner
-        return None
-
     def players(self) -> tuple[str, ...]:
         seen = []
         for i in self.infosets:
@@ -159,18 +176,25 @@ class Game:
     chance: dict[NodeId, tuple[Fraction, ...]]  # one weight per child, sums to 1
     utility: dict[NodeId, Fraction]  # one payoff per leaf
 
+    @cached_property
+    def chance_weights(self) -> dict[NodeId, Fraction]:
+        """Node -> product of chance probabilities on its root path, filled
+        top-down in one preorder pass."""
+        s = self.structure
+        out: dict[NodeId, Fraction] = {s.root: Fraction(1)}
+        for nid in s.preorder():
+            node = s.nodes[nid]
+            if isinstance(node, ChanceNode):
+                for p, c in zip(self.chance[nid], node.children):
+                    out[c] = out[nid] * p
+            elif isinstance(node, PlayerNode):
+                for _, c in node.children:
+                    out[c] = out[nid]
+        return out
+
     def chance_weight(self, leaf: NodeId) -> Fraction:
         """Product of chance probabilities on the root path to `leaf`."""
-        w = Fraction(1)
-        s = self.structure
-        nid = leaf
-        while nid != s.root:
-            parent, _ = s.parent_edge[nid]
-            pnode = s.nodes[parent]
-            if isinstance(pnode, ChanceNode):
-                w *= self.chance[parent][pnode.children.index(nid)]
-            nid = parent
-        return w
+        return self.chance_weights[leaf]
 
 
 def validate(structure: GameStructure) -> list[str]:
@@ -271,17 +295,14 @@ def history(
 
     With `player`, only that player's actions are kept.
     """
-    if node not in structure.nodes:
-        raise GameError(f"unknown node id {node}")
-    rev: list[Action] = []
-    nid = node
-    while nid != structure.root:
-        parent, action = structure.parent_edge[nid]
-        if action is not None:
-            if player is None or structure.owner_of_node(parent) == player:
-                rev.append(action)
-        nid = parent
-    return tuple(reversed(rev))
+    try:
+        h = structure.histories[node]
+    except KeyError:
+        raise GameError(f"unknown node id {node}") from None
+    if player is None:
+        return h
+    info, act_info = structure.infoset_by_id, structure.infoset_of_action
+    return tuple(a for a in h if info[act_info[a]].owner == player)
 
 
 def classify_recall(structure: GameStructure, player: str) -> RecallClass:
@@ -291,54 +312,40 @@ def classify_recall(structure: GameStructure, player: str) -> RecallClass:
     set with a strict ancestor.  Otherwise perfect recall means one
     history per information set, and A-loss recall means any two
     histories at a set first diverge with two distinct actions of a
-    common earlier information set.
+    common earlier information set.  A player without information sets
+    has perfect recall.  The structure is validated and classified once;
+    later calls read the result.
     """
-    problems = validate(structure)
-    if problems:
-        raise GameError("invalid structure: " + "; ".join(problems))
+    return structure.recall_classes.get(player, RecallClass.PFR)
 
-    own = [i for i in structure.infosets if i.owner == player]
-    own_ids = {i.id for i in own}
 
-    # Absentmindedness: walk every root path with the set of visited infosets.
-    def absent(nid: NodeId, seen: frozenset[str]) -> bool:
-        node = structure.nodes[nid]
-        if isinstance(node, Leaf):
-            return False
-        if isinstance(node, ChanceNode):
-            return any(absent(c, seen) for c in node.children)
-        here = node.infoset
-        if here in own_ids and here in seen:
-            return True
-        seen2 = seen | {here} if here in own_ids else seen
-        return any(absent(c, seen2) for _, c in node.children)
+def _classify(structure: GameStructure, player: str) -> RecallClass:
+    own_ids = {i.id for i in structure.infosets if i.owner == player}
+    act_to_info = structure.infoset_of_action
 
-    if absent(structure.root, frozenset()):
-        return RecallClass.ABSENTMINDED
-
-    hist_sets: dict[str, list[tuple[Action, ...]]] = {i.id: [] for i in own}
-    for nid in structure.preorder():
+    # A node is absentminded when its history holds an action of its own
+    # information set, that is, when an ancestor shares the set.
+    hist_sets: dict[str, set[tuple[Action, ...]]] = {iid: set() for iid in own_ids}
+    for nid, full in structure.histories.items():
         node = structure.nodes[nid]
         if isinstance(node, PlayerNode) and node.infoset in own_ids:
-            h = history(structure, nid, player)
-            if h not in hist_sets[node.infoset]:
-                hist_sets[node.infoset].append(h)
+            infos = [act_to_info[a] for a in full]
+            if node.infoset in infos:
+                return RecallClass.ABSENTMINDED
+            hist_sets[node.infoset].add(tuple(a for a, i in zip(full, infos) if i in own_ids))
 
     if all(len(hs) <= 1 for hs in hist_sets.values()):
         return RecallClass.PFR
 
-    act_to_info = structure.infoset_of_action
     for hs in hist_sets.values():
-        for i in range(len(hs)):
-            for j in range(i + 1, len(hs)):
-                h, g = hs[i], hs[j]
-                k = 0
-                while k < len(h) and k < len(g) and h[k] == g[k]:
-                    k += 1
-                if k >= len(h) or k >= len(g):
-                    return RecallClass.NAM_NOT_ALR  # one is a prefix of the other
-                if act_to_info[h[k]] != act_to_info[g[k]]:
-                    return RecallClass.NAM_NOT_ALR
+        for h, g in itertools.combinations(hs, 2):
+            k = 0
+            while k < len(h) and k < len(g) and h[k] == g[k]:
+                k += 1
+            if k >= len(h) or k >= len(g):
+                return RecallClass.NAM_NOT_ALR  # one is a prefix of the other
+            if act_to_info[h[k]] != act_to_info[g[k]]:
+                return RecallClass.NAM_NOT_ALR
     return RecallClass.ALR_NOT_PFR
 
 

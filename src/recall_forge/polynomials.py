@@ -25,10 +25,8 @@ from .model import (
     GameError,
     GameStructure,
     InformationSet,
-    Leaf,
     RecallClass,
     classify_recall,
-    history,
 )
 
 Monomial = frozenset[Action]
@@ -91,11 +89,7 @@ def _check_nam(structure: GameStructure) -> None:
 def leaf_monomials(structure: GameStructure) -> set[Monomial]:
     """{product of action variables on the path to t | t leaf}, as sets."""
     _check_nam(structure)
-    return {
-        frozenset(history(structure, leaf))
-        for leaf in structure.preorder()
-        if isinstance(structure.nodes[leaf], Leaf)
-    }
+    return {frozenset(structure.histories[leaf]) for leaf in structure.leaves()}
 
 
 def payoff_polynomial(game: Game) -> Polynomial:
@@ -107,10 +101,8 @@ def payoff_polynomial(game: Game) -> Polynomial:
             if len(probs) != len(node.children) or sum(probs) != 1 or any(p < 0 for p in probs):
                 raise GameError(f"chance node {nid} has an invalid distribution")
     terms: dict[Monomial, Fraction] = {}
-    for leaf in game.structure.preorder():
-        if not isinstance(game.structure.nodes[leaf], Leaf):
-            continue
-        m = frozenset(history(game.structure, leaf))
+    for leaf in game.structure.leaves():
+        m = frozenset(game.structure.histories[leaf])
         w = game.chance_weight(leaf) * game.utility[leaf]
         terms[m] = terms.get(m, Fraction(0)) + w
     return Polynomial.build(terms, game.structure.infosets)

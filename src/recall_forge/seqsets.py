@@ -17,7 +17,6 @@ from .model import (
     GameError,
     GameStructure,
     InformationSet,
-    Leaf,
     RecallClass,
     classify_recall,
     history,
@@ -139,11 +138,7 @@ def extract_histories(structure: GameStructure, player: Optional[str] = None) ->
     for p in checked:
         if classify_recall(structure, p) is RecallClass.ABSENTMINDED:
             raise GameError(f"player {p!r} is absentminded")
-    seqs = {
-        history(structure, leaf, player)
-        for leaf in structure.preorder()
-        if isinstance(structure.nodes[leaf], Leaf)
-    }
+    seqs = {history(structure, leaf, player) for leaf in structure.leaves()}
     if player is None:
         infosets = structure.infosets
     else:

@@ -198,9 +198,7 @@ def _solve_pfr(game: Game, player: str) -> tuple[Fraction, PureStrategy]:
     branching: dict[tuple[Action, ...], list[InformationSet]] = {}
     act_info = {a: i for i in s.infosets for a in i.actions}
 
-    for leaf in s.preorder():
-        if not isinstance(s.nodes[leaf], Leaf):
-            continue
+    for leaf in s.leaves():
         h = history(s, leaf, player)
         leaf_weight[h] = leaf_weight.get(h, Fraction(0)) + game.chance_weight(leaf) * game.utility[leaf]
         for k in range(1, len(h) + 1):

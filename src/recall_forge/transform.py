@@ -77,10 +77,8 @@ def transfer_payoffs(source: Game, certificate: SpanCertificate) -> TransformedG
     # bucket[target sequence] = accumulated chance-weighted source payoff
     bucket: dict[Sequence, Fraction] = {}
     trace_by_seq: dict[Sequence, list[tuple[NodeId, Fraction, Fraction]]] = {}
-    for leaf in source.structure.preorder():
-        if not isinstance(source.structure.nodes[leaf], Leaf):
-            continue
-        hist = history(source.structure, leaf)
+    for leaf in source.structure.leaves():
+        hist = source.structure.histories[leaf]
         w = source.chance_weight(leaf)
         for target_seq in certificate.combinations[hist]:
             bucket[target_seq] = bucket.get(target_seq, Fraction(0)) + w * source.utility[leaf]
@@ -88,10 +86,8 @@ def transfer_payoffs(source: Game, certificate: SpanCertificate) -> TransformedG
 
     utility: dict[NodeId, Fraction] = {}
     trace: PayoffTrace = {}
-    for leaf in target.preorder():
-        if not isinstance(target.nodes[leaf], Leaf):
-            continue
-        seq = history(target, leaf)
+    for leaf in target.leaves():
+        seq = target.histories[leaf]
         weight = game.chance_weight(leaf)
         assert weight > 0  # uniform distributions have full support
         utility[leaf] = bucket.get(seq, Fraction(0)) / weight
@@ -149,12 +145,13 @@ def compose_two_player(
     owners = set(source.structure.players())
     if owners != {MAX, MIN}:
         raise GameError("composition expects a two-player game")
-    proj_max = extract_histories(source.structure, MAX)
-    proj_min = extract_histories(source.structure, MIN)
-    if proj_max.sequences != span_max.original.sequences:
-        raise GameError("max certificate does not match the max projection")
-    if proj_min.sequences != span_min.original.sequences:
-        raise GameError("min certificate does not match the min projection")
+    for player, cert in ((MAX, span_max), (MIN, span_min)):
+        proj = extract_histories(source.structure, player)
+        # the span may only use the player's own information sets, so that
+        # composed histories split by owner
+        foreign = set(cert.span.infosets) - set(proj.infosets)
+        if proj.sequences != cert.original.sequences or foreign:
+            raise GameError(f"{player} certificate does not match the {player} projection")
 
     top = structure_from_sequences(span_max.span)
     bottom = structure_from_sequences(span_min.span)
@@ -162,12 +159,9 @@ def compose_two_player(
     chance = uniform_chance(composed)
     shell = Game(structure=composed, chance=chance, utility={})
 
-    max_actions = {a for i in source.structure.infosets if i.owner == MAX for a in i.actions}
     bucket: dict[tuple[Sequence, Sequence], Fraction] = {}
     trace_by_seq: dict[tuple[Sequence, Sequence], list] = {}
-    for leaf in source.structure.preorder():
-        if not isinstance(source.structure.nodes[leaf], Leaf):
-            continue
+    for leaf in source.structure.leaves():
         h_max = history(source.structure, leaf, MAX)
         h_min = history(source.structure, leaf, MIN)
         w = source.chance_weight(leaf)
@@ -179,12 +173,9 @@ def compose_two_player(
 
     utility: dict[NodeId, Fraction] = {}
     trace: PayoffTrace = {}
-    for leaf in composed.preorder():
-        if not isinstance(composed.nodes[leaf], Leaf):
-            continue
-        full = history(composed, leaf)
-        m = tuple(a for a in full if a in max_actions)
-        v = tuple(a for a in full if a not in max_actions)
+    for leaf in composed.leaves():
+        m = history(composed, leaf, MAX)
+        v = history(composed, leaf, MIN)
         weight = shell.chance_weight(leaf)
         utility[leaf] = bucket.get((m, v), Fraction(0)) / weight
         trace[leaf] = trace_by_seq.get((m, v), [])

@@ -260,6 +260,30 @@ def test_cli_compose(tmp_path):
     assert len(composed.structure.leaves()) == 16
 
 
+def test_cli_compose_rejects_foreign_span_infosets(tmp_path):
+    # a Min certificate whose span adds an information set the source lacks
+    from conftest import build_two_player_demo
+    from recall_forge.model import MAX, MIN
+
+    game = build_two_player_demo([Fraction(i) for i in range(1, 9)])
+    src = tmp_path / "two.json"
+    src.write_text(serialize_game(game))
+    cmax = tmp_path / "max.json"
+    cmax.write_text(
+        serialize_certificate(minimal_span(extract_histories(game.structure, MAX)))
+    )
+    doc = json.loads(
+        serialize_certificate(minimal_span(extract_histories(game.structure, MIN)))
+    )
+    doc["infosets"].append({"id": "Z", "owner": MIN, "actions": ["z1", "z2"]})
+    doc["span"] += [["z1"], ["z2"]]
+    cmin = tmp_path / "min.json"
+    cmin.write_text(json.dumps(doc))
+    code, out, err = run(["compose", str(src), "--max-cert", str(cmax), "--min-cert", str(cmin)])
+    assert code == 1 and out == ""
+    assert err == "error: min certificate does not match the min projection\n"
+
+
 def test_cli_sd_and_bench():
     doc = serialize_game(gen_pennies("III", 3))
     code, out, _ = run(["sd"], stdin_text=doc)
@@ -366,13 +390,15 @@ def test_cli_reuses_one_parser(tmp_path):
     assert shared[1][1] == (None, None)  # the earlier paths did not stick
 
 
-def test_cli_closed_stdout_pipe():
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_cli_closed_stdout_pipe(unbuffered):
     """A reader that stops early ends the run with exit 1, not a traceback.
 
     The output (about 1.2 MB) is larger than a pipe buffer, so the writer
-    is still writing when the pipe closes.  The child runs with buffered
-    stdout: with PYTHONUNBUFFERED set, the text layer drops the rest of a
-    short write without raising, so no error would be seen at all.
+    is still writing when the pipe closes.  The child runs once with
+    buffered stdout and once with PYTHONUNBUFFERED=1, where the text layer
+    writes straight through and would drop the rest of a short write
+    without raising unless the CLI buffers stdout itself.
     """
     import os
     import pathlib
@@ -380,6 +406,8 @@ def test_cli_closed_stdout_pipe():
     import sys
 
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.Popen(
         [sys.executable, "-m", "recall_forge.cli", "gen", "lowerbound", "--n", "40"],

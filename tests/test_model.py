@@ -6,9 +6,13 @@ import pytest
 
 from recall_forge.model import (
     MAX,
+    MIN,
     ChanceNode,
+    Game,
     GameError,
+    GameStructure,
     InformationSet,
+    Leaf,
     PlayerNode,
     RecallClass,
     classify_recall,
@@ -17,7 +21,11 @@ from recall_forge.model import (
     validate,
     validate_game,
 )
-from recall_forge.generators import gen_pennies
+from recall_forge.docio import structure_as_game
+from recall_forge.generators import FamilyParams, gen_lowerbound, gen_pennies, gen_random
+from recall_forge.polynomials import payoff_polynomial
+from recall_forge.seqsets import extract_histories
+from recall_forge.span import realize_sequence_set
 
 from conftest import TreeBuilder
 
@@ -154,10 +162,36 @@ def test_validate_game_bad_distribution():
     assert any("sum" in p for p in validate_game(game))
 
 
+def _root_walk_history(structure, node, player=None):
+    """Reference history: walk `parent_edge` from the node up to the root."""
+    rev = []
+    nid = node
+    while nid != structure.root:
+        parent, action = structure.parent_edge[nid]
+        if action is not None:
+            owner = structure.infoset_by_id[structure.nodes[parent].infoset].owner
+            if player is None or owner == player:
+                rev.append(action)
+        nid = parent
+    return tuple(reversed(rev))
+
+
+def _root_walk_chance_weight(game, node):
+    """Reference chance weight: the product of chance edges up to the root."""
+    s = game.structure
+    w = Fraction(1)
+    nid = node
+    while nid != s.root:
+        parent, _ = s.parent_edge[nid]
+        pnode = s.nodes[parent]
+        if isinstance(pnode, ChanceNode):
+            w *= game.chance[parent][pnode.children.index(nid)]
+        nid = parent
+    return w
+
+
 def _naive_recall(structure, player):
     """Definitional reimplementation used only as a cross-check here."""
-    from recall_forge.model import history as hist_of
-
     own = {i.id for i in structure.infosets if i.owner == player}
     act_info = structure.infoset_of_action
 
@@ -178,7 +212,7 @@ def _naive_recall(structure, player):
                     return RecallClass.ABSENTMINDED
 
     hists = {
-        iid: {hist_of(structure, u, player) for u in members}
+        iid: {_root_walk_history(structure, u, player) for u in members}
         for iid, members in paths.items()
     }
     if all(len(hs) == 1 for hs in hists.values()):
@@ -231,3 +265,68 @@ def test_recall_implication_chain():
         elif recall is RecallClass.ALR_NOT_PFR:
             assert recall.is_nam
             assert is_alr_set(extract_histories(game.structure))
+
+
+def _path_data_inputs():
+    for variant in ("I", "II", "III"):
+        for n in range(2, 7):
+            yield gen_pennies(variant, n)
+    for n in range(1, 7):
+        yield structure_as_game(realize_sequence_set(gen_lowerbound(n)))
+    for seed in range(1, 41):
+        for players in (1, 2):
+            yield gen_random(FamilyParams(family="random", seed=seed, players=players))
+    # a chance node under a chance node, left unnormalized
+    b = TreeBuilder()
+    inner = b.chance_node([(Fraction(1, 3), b.leaf(1)), (Fraction(2, 3), b.leaf(2))])
+    low = b.player("I2", [("c", inner), ("d", b.leaf(3))])
+    mid = b.chance_node([(Fraction(1, 4), low), (Fraction(3, 4), b.leaf(4))])
+    top = b.chance_node([(Fraction(1, 2), mid), (Fraction(1, 2), b.leaf(5))])
+    root = b.player("I1", [("a", top), ("b", b.leaf(6))])
+    yield b.game(
+        root,
+        [InformationSet("I1", MAX, ("a", "b")), InformationSet("I2", MIN, ("c", "d"))],
+    )
+
+
+def test_path_tables_match_root_walks():
+    count = 0
+    for game in _path_data_inputs():
+        s = game.structure
+        assert validate_game(game) == []
+        for nid in s.nodes:
+            for player in (None, MAX, MIN):
+                assert history(s, nid, player) == _root_walk_history(s, nid, player)
+            assert game.chance_weight(nid) == _root_walk_chance_weight(game, nid)
+        count += 1
+    assert count == 15 + 6 + 80 + 1
+
+
+def test_deep_player_chain_without_recursion():
+    # 2,000 player levels, each with an exit leaf; built directly, because
+    # the JSON decoder stops far sooner
+    depth = 2000
+    nodes = {}
+    infosets = []
+    utility = {}
+    next_id = depth
+    for k in range(depth):
+        infosets.append(InformationSet(f"I{k}", MAX, (f"a{k}", f"b{k}")))
+        exit_leaf, next_id = next_id, next_id + 1
+        nodes[exit_leaf] = Leaf()
+        utility[exit_leaf] = Fraction(k)
+        on = k + 1
+        if k == depth - 1:
+            on, next_id = next_id, next_id + 1
+            nodes[on] = Leaf()
+            utility[on] = Fraction(depth)
+        nodes[k] = PlayerNode(f"I{k}", ((f"a{k}", on), (f"b{k}", exit_leaf)))
+    structure = GameStructure(root=0, nodes=nodes, infosets=tuple(infosets))
+    game = Game(structure=structure, chance={}, utility=utility)
+
+    assert classify_recall(structure, MAX) is RecallClass.PFR
+    assert len(extract_histories(structure)) == depth + 1
+    deepest = max(structure.leaves(), key=lambda leaf: len(history(structure, leaf)))
+    assert len(history(structure, deepest)) == depth
+    poly = payoff_polynomial(game)
+    assert len(poly.terms) == depth  # the payoff-0 exit leaf drops out

@@ -193,3 +193,25 @@ def test_shuffle_demo_with_pennies_payoffs():
     )
     for method in ("bruteforce", "auto", "span"):
         assert solve(game, method=method).value == Fraction(2, 3)
+
+
+@pytest.mark.parametrize(
+    "variant, n, method, structures",
+    [("III", 8, "span-pipeline", 2), ("I", 3, "refinement", 1)],
+)
+def test_solve_validates_each_structure_once(monkeypatch, variant, n, method, structures):
+    # the span route classifies the source and the span structure, the
+    # refinement route the source only; each is validated once
+    import recall_forge.model as model
+
+    game = gen_pennies(variant, n)
+    seen = []
+    real = model.validate
+
+    def counting(structure):
+        seen.append(structure)
+        return real(structure)
+
+    monkeypatch.setattr(model, "validate", counting)
+    assert solve(game).method == method
+    assert len({id(s) for s in seen}) == len(seen) == structures
