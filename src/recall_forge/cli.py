@@ -4,7 +4,8 @@ Every subcommand is a thin wrapper over the library: stdout is a pure
 function of the input files and flags (the bench command's wall-clock
 column is the one exception).  Exit codes: 0 success, 1 usage or parse
 error, 2 negative mathematical answer (no shuffle witness, a failed span
-verification), 3 guarded size limit exceeded.  A reader that closes
+verification), 3 guarded size limit exceeded, which includes an input
+nested deeper than a recursive step can follow.  A reader that closes
 stdout early (`recall-forge solve g.json | head -1`) ends the run with
 exit 1 and no message.
 """
@@ -146,6 +147,9 @@ def cli_main(argv: Seq[str], stdout=None, stderr=None) -> int:
         return EXIT_USAGE
     except SizeLimitError as exc:
         stderr.write(f"error: {exc}\n")
+        return EXIT_LIMIT
+    except RecursionError:
+        stderr.write("error: input nested too deeply for this command (recursion limit)\n")
         return EXIT_LIMIT
     except GameError as exc:
         stderr.write(f"error: {exc}\n")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
@@ -69,6 +70,29 @@ def _children(raw: dict, where: str) -> list[dict]:
     return kids
 
 
+def _nonempty_strings(items: list) -> bool:
+    return "" not in items and set(map(type, items)) <= {str}
+
+
+def _strings(raw: Any, where: str) -> tuple[str, ...]:
+    """`raw` as a tuple, if it is a list of nonempty strings."""
+    if type(raw) is not list or not _nonempty_strings(raw):
+        raise DocumentError(f"{where}: expected a list of nonempty strings")
+    return tuple(raw)
+
+
+def _sequences(raw: Any, where: str) -> frozenset[Sequence]:
+    """`raw` as a set of sequences, if it is a list of lists of nonempty
+    strings."""
+    if (
+        type(raw) is not list
+        or not set(map(type, raw)) <= {list}
+        or not _nonempty_strings(list(chain.from_iterable(raw)))
+    ):
+        raise DocumentError(f"{where}: expected a list of lists of nonempty strings")
+    return frozenset(map(tuple, raw))
+
+
 def _load_json(text: str) -> Any:
     try:
         return json.loads(text)
@@ -97,14 +121,9 @@ def parse_game(text: str) -> Game:
         for key in ("id", "owner", "actions"):
             if key not in raw:
                 raise DocumentError(f"{where}: missing {key!r}")
-        if not isinstance(raw["actions"], list) or not all(
-            isinstance(a, str) and a for a in raw["actions"]
-        ):
-            raise DocumentError(f"{where}: actions must be nonempty strings")
+        actions = _strings(raw["actions"], f"{where}.actions")
         try:
-            infosets.append(
-                InformationSet(str(raw["id"]), str(raw["owner"]), tuple(raw["actions"]))
-            )
+            infosets.append(InformationSet(str(raw["id"]), str(raw["owner"]), actions))
         except GameError as exc:
             raise DocumentError(f"{where}: {exc}") from None
 
@@ -266,17 +285,18 @@ def parse_certificate(text: str) -> SpanCertificate:
         raise DocumentError("unsupported certificate document")
     try:
         infosets = tuple(
-            InformationSet(str(r["id"]), str(r["owner"]), tuple(r["actions"]))
-            for r in doc["infosets"]
+            InformationSet(
+                str(r["id"]), str(r["owner"]), _strings(r["actions"], f"infosets[{k}].actions")
+            )
+            for k, r in enumerate(doc["infosets"])
         )
-        original = SequenceSet(
-            frozenset(tuple(s) for s in doc["original"]), infosets
-        )
-        span = SequenceSet(frozenset(tuple(s) for s in doc["span"]), infosets)
+        original = SequenceSet(_sequences(doc["original"], "original"), infosets)
+        span = SequenceSet(_sequences(doc["span"], "span"), infosets)
         combos: dict[Sequence, frozenset[Sequence]] = {}
-        for row in doc["combinations"]:
-            combos[tuple(row["sequence"])] = frozenset(
-                tuple(g) for g in row["generators"]
+        for k, row in enumerate(doc["combinations"]):
+            where = f"combinations[{k}]"
+            combos[_strings(row["sequence"], f"{where}.sequence")] = _sequences(
+                row["generators"], f"{where}.generators"
             )
     except (KeyError, TypeError, GameError) as exc:
         raise DocumentError(f"malformed certificate: {exc}") from None

@@ -170,6 +170,8 @@ def gen_random(params: FamilyParams) -> Game:
         raise SizeLimitError("random-game parameter bounds exceeded (depth <= 8, branching <= 3)")
     if params.players not in (1, 2):
         raise GameError("players must be 1 or 2")
+    if params.branching < 2:
+        raise GameError("branching must be at least 2")
     rng = random.Random(params.seed)
 
     nodes: dict[NodeId, Node] = {}

@@ -1,22 +1,24 @@
 """Turning span certificates into equivalent games.
 
-Payoffs move from a source game onto a span structure so that both games
-induce the same payoff polynomial: chance in the rebuilt tree is uniform,
-and each target leaf receives the chance-weighted sum of the source
-payoffs it helps generate, divided by its own chance weight.  The uniform
-choice is value-neutral because the division cancels it.
+Payoffs move from a source game onto a span structure in one assignment
+step, so that both games induce the same payoff polynomial: chance in the
+rebuilt tree is uniform, each source leaf adds its chance-weighted payoff
+to every target sequence it generates, and each target leaf receives its
+sequence's sum divided by its own chance weight.  The uniform choice is
+value-neutral because the division cancels it.
 
 Two-player composition stacks one player's span tree on top of the
-other's (a copy of the second tree under every leaf of the first, with
-information sets shared across copies) and assigns payoffs from the
-product of the two certificates.
+other's: a copy of the second tree replaces every leaf of the first, with
+information sets shared across copies.  A composed leaf's history is a
+Max span sequence followed by a Min one, and it receives the payoffs of
+every source leaf whose two combinations list those sequences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from .model import (
     MAX,
@@ -25,8 +27,6 @@ from .model import (
     Game,
     GameError,
     GameStructure,
-    Leaf,
-    Node,
     NodeId,
     PlayerNode,
     history,
@@ -34,15 +34,11 @@ from .model import (
 from .seqsets import Sequence, extract_histories
 from .span import SpanCertificate, structure_from_sequences
 
-# target leaf -> [(source leaf, coefficient, source chance weight)]
-PayoffTrace = dict[NodeId, list[tuple[NodeId, Fraction, Fraction]]]
-
 
 @dataclass(frozen=True)
 class TransformedGame:
     game: Game
     provenance: SpanCertificate
-    payoff_trace: PayoffTrace
     provenance_min: Optional[SpanCertificate] = None
 
 
@@ -55,13 +51,37 @@ def uniform_chance(structure: GameStructure) -> dict[NodeId, tuple[Fraction, ...
     return out
 
 
+def _assign_payoffs(
+    source: Game,
+    target: GameStructure,
+    generated: Callable[[NodeId], Iterable[Sequence]],
+) -> Game:
+    """`target` with uniform chance and the payoffs of `source`.
+
+    `generated` maps each source leaf to the target histories it
+    generates.  Leaves that share a history all contribute.
+    """
+    bucket: dict[Sequence, Fraction] = {}
+    for leaf in source.structure.leaves():
+        value = source.chance_weight(leaf) * source.utility[leaf]
+        for seq in generated(leaf):
+            bucket[seq] = bucket.get(seq, 0) + value
+    chance = uniform_chance(target)
+    weights = Game(structure=target, chance=chance, utility={}).chance_weights
+    utility = {
+        leaf: bucket.get(target.histories[leaf], 0) / weights[leaf]
+        for leaf in target.leaves()
+    }
+    return Game(structure=target, chance=chance, utility=utility)
+
+
 def transfer_payoffs(source: Game, certificate: SpanCertificate) -> TransformedGame:
     """Rebuild the certificate's span as a game equivalent to `source`.
 
-    Every source leaf whose history's combination includes a target
-    leaf's sequence contributes chance-weight x payoff there; leaves that
-    share a history all contribute.  The resulting payoff polynomial is
-    identical to the source's under the strategy constraints.
+    Every source leaf contributes chance-weight x payoff to each target
+    leaf whose sequence is in its history's combination.  The resulting
+    payoff polynomial is identical to the source's under the strategy
+    constraints.
     """
     players = source.structure.players()
     if len(players) > 1:
@@ -71,65 +91,32 @@ def transfer_payoffs(source: Game, certificate: SpanCertificate) -> TransformedG
         raise GameError("certificate does not match the source's history set")
 
     target = structure_from_sequences(certificate.span)
-    chance = uniform_chance(target)
-    game = Game(structure=target, chance=chance, utility={})
-
-    # bucket[target sequence] = accumulated chance-weighted source payoff
-    bucket: dict[Sequence, Fraction] = {}
-    trace_by_seq: dict[Sequence, list[tuple[NodeId, Fraction, Fraction]]] = {}
-    for leaf in source.structure.leaves():
-        hist = source.structure.histories[leaf]
-        w = source.chance_weight(leaf)
-        for target_seq in certificate.combinations[hist]:
-            bucket[target_seq] = bucket.get(target_seq, Fraction(0)) + w * source.utility[leaf]
-            trace_by_seq.setdefault(target_seq, []).append((leaf, Fraction(1), w))
-
-    utility: dict[NodeId, Fraction] = {}
-    trace: PayoffTrace = {}
-    for leaf in target.leaves():
-        seq = target.histories[leaf]
-        weight = game.chance_weight(leaf)
-        assert weight > 0  # uniform distributions have full support
-        utility[leaf] = bucket.get(seq, Fraction(0)) / weight
-        trace[leaf] = trace_by_seq.get(seq, [])
-
-    final = Game(structure=target, chance=chance, utility=utility)
-    return TransformedGame(game=final, provenance=certificate, payoff_trace=trace)
+    histories = source.structure.histories
+    game = _assign_payoffs(source, target, lambda leaf: certificate.combinations[histories[leaf]])
+    return TransformedGame(game=game, provenance=certificate)
 
 
-def _graft(
-    top: GameStructure, bottom: GameStructure, infosets
-) -> GameStructure:
-    """Copy of `top` with a fresh copy of `bottom` under every leaf.
+def _graft(top: GameStructure, bottom: GameStructure, infosets) -> GameStructure:
+    """Copy of `top` with a copy of `bottom` in place of every leaf.
 
-    Information set ids are preserved, so the copies share them.
+    Each copy shifts `bottom`'s ids past every id used so far, and its
+    root takes the id of the leaf it replaces.  Child order is kept, and
+    information set ids are preserved, so the copies share them.
     """
-    nodes: dict[NodeId, Node] = {}
-    next_id = [0]
-
-    def copy(structure: GameStructure, nid: NodeId, graft_leaves: bool) -> NodeId:
-        new_id = next_id[0]
-        next_id[0] += 1
-        node = structure.nodes[nid]
-        if isinstance(node, Leaf):
-            if graft_leaves:
-                # placeholder; replaced by the grafted subtree root below
-                next_id[0] -= 1
-                return copy(bottom, bottom.root, False)
-            nodes[new_id] = Leaf()
-            return new_id
-        if isinstance(node, ChanceNode):
-            nodes[new_id] = ChanceNode(())  # reserve the id before recursing
-            kids = tuple(copy(structure, c, graft_leaves) for c in node.children)
-            nodes[new_id] = ChanceNode(kids)
-            return new_id
-        nodes[new_id] = PlayerNode(node.infoset, ())
-        kids2 = tuple((a, copy(structure, c, graft_leaves)) for a, c in node.children)
-        nodes[new_id] = PlayerNode(node.infoset, kids2)
-        return new_id
-
-    root = copy(top, top.root, True)
-    return GameStructure(root=root, nodes=nodes, infosets=infosets)
+    nodes = dict(top.nodes)
+    low, high = min(bottom.nodes), max(bottom.nodes)
+    shift = max(nodes) + 1 - low
+    for leaf in top.leaves():
+        ids = {b: b + shift for b in bottom.nodes}
+        ids[bottom.root] = leaf
+        for b, node in bottom.nodes.items():
+            if isinstance(node, ChanceNode):
+                node = ChanceNode(tuple(ids[c] for c in node.children))
+            elif isinstance(node, PlayerNode):
+                node = PlayerNode(node.infoset, tuple((a, ids[c]) for a, c in node.children))
+            nodes[ids[b]] = node
+        shift += high - low + 1
+    return GameStructure(root=top.root, nodes=nodes, infosets=infosets)
 
 
 def compose_two_player(
@@ -156,31 +143,11 @@ def compose_two_player(
     top = structure_from_sequences(span_max.span)
     bottom = structure_from_sequences(span_min.span)
     composed = _graft(top, bottom, source.structure.infosets)
-    chance = uniform_chance(composed)
-    shell = Game(structure=composed, chance=chance, utility={})
 
-    bucket: dict[tuple[Sequence, Sequence], Fraction] = {}
-    trace_by_seq: dict[tuple[Sequence, Sequence], list] = {}
-    for leaf in source.structure.leaves():
-        h_max = history(source.structure, leaf, MAX)
-        h_min = history(source.structure, leaf, MIN)
-        w = source.chance_weight(leaf)
-        for m in span_max.combinations[h_max]:
-            for v in span_min.combinations[h_min]:
-                key = (m, v)
-                bucket[key] = bucket.get(key, Fraction(0)) + w * source.utility[leaf]
-                trace_by_seq.setdefault(key, []).append((leaf, Fraction(1), w))
+    def generated(leaf: NodeId) -> list[Sequence]:
+        maxes = span_max.combinations[history(source.structure, leaf, MAX)]
+        mins = span_min.combinations[history(source.structure, leaf, MIN)]
+        return [m + v for m in maxes for v in mins]
 
-    utility: dict[NodeId, Fraction] = {}
-    trace: PayoffTrace = {}
-    for leaf in composed.leaves():
-        m = history(composed, leaf, MAX)
-        v = history(composed, leaf, MIN)
-        weight = shell.chance_weight(leaf)
-        utility[leaf] = bucket.get((m, v), Fraction(0)) / weight
-        trace[leaf] = trace_by_seq.get((m, v), [])
-
-    final = Game(structure=composed, chance=chance, utility=utility)
-    return TransformedGame(
-        game=final, provenance=span_max, payoff_trace=trace, provenance_min=span_min
-    )
+    game = _assign_payoffs(source, composed, generated)
+    return TransformedGame(game=game, provenance=span_max, provenance_min=span_min)

@@ -61,6 +61,25 @@ class TreeBuilder:
         return Game(structure=structure, chance=self.chance, utility=self.utility)
 
 
+def player_chain(depth: int) -> Game:
+    """One player, one information set per level: `a{k}` goes a level
+    deeper and `b{k}` exits to a leaf paying k; the chain's end pays
+    `depth`."""
+    nodes = {}
+    infosets = []
+    utility = {}
+    for k in range(depth):
+        infosets.append(InformationSet(f"I{k}", MAX, (f"a{k}", f"b{k}")))
+        nodes[depth + k] = Leaf()
+        utility[depth + k] = Fraction(k)
+        on = k + 1 if k < depth - 1 else 2 * depth
+        nodes[k] = PlayerNode(f"I{k}", ((f"a{k}", on), (f"b{k}", depth + k)))
+    nodes[2 * depth] = Leaf()
+    utility[2 * depth] = Fraction(depth)
+    structure = GameStructure(root=0, nodes=nodes, infosets=tuple(infosets))
+    return Game(structure=structure, chance={}, utility=utility)
+
+
 def seqs(*words: str) -> frozenset[tuple[str, ...]]:
     """'a c|abar d' style shorthand: words are space-separated actions."""
     return frozenset(tuple(w.split()) if w else () for w in words)

@@ -19,6 +19,8 @@ from recall_forge.polynomials import payoff_polynomial, poly_equal_under_constra
 from recall_forge.seqsets import extract_histories
 from recall_forge.span import minimal_span
 
+from conftest import player_chain
+
 
 def run(argv, stdin_text=""):
     import sys
@@ -350,6 +352,58 @@ def test_cli_usage_errors(tmp_path):
         assert err.startswith(message)
         assert err.count("\n") == 1 and err.endswith("\n")
         assert "Traceback" not in err
+    # a random game needs at least two children per inner node
+    for branching in ("1", "0"):
+        code, out, err = run(["gen", "random", "--seed", "1", "--branching", branching])
+        assert (code, out) == (1, "")
+        assert err == "error: branching must be at least 2\n"
+    # certificate fields that must be lists of nonempty strings; each
+    # string below would read as a list of one-letter actions
+    infosets = [{"id": "I", "owner": "max", "actions": ["a", "b"]}]
+    root = {
+        "kind": "player",
+        "infoset": "I",
+        "children": [
+            {"action": a, "node": {"kind": "leaf", "payoff": p}} for a, p in (("a", "1"), ("b", "2"))
+        ],
+    }
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps({"version": 1, "players": ["max"], "infosets": infosets, "root": root}))
+    cert_path = tmp_path / "small-cert.json"
+    assert run(["span", str(small), "--certificate", str(cert_path), "-o", str(tmp_path / "s.json")])[0] == 0
+    assert run(["transform", str(small), "--certificate", str(cert_path)])[0] == 0
+    good = json.loads(cert_path.read_text())
+    bad = tmp_path / "bad-cert.json"
+    for field, edit in (
+        ("infosets[0].actions", lambda d: d["infosets"][0].update(actions="ab")),
+        ("original", lambda d: d.update(original=["a", "b"])),
+        ("span", lambda d: d.update(span=["a", "b"])),
+        ("span", lambda d: d.update(span="ab")),
+        ("combinations[0].sequence", lambda d: d["combinations"][0].update(sequence="a")),
+        ("combinations[0].sequence", lambda d: d["combinations"][0].update(sequence=["a", ""])),
+        ("combinations[0].generators", lambda d: d["combinations"][0].update(generators=["a"])),
+        ("combinations[1].generators", lambda d: d["combinations"][1].update(generators=[["b", 1]])),
+    ):
+        doc = json.loads(json.dumps(good))
+        edit(doc)
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(["transform", str(small), "--certificate", str(bad)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: malformed certificate: {field}: expected a list")
+        assert err.count("\n") == 1
+
+
+def test_cli_deep_input_is_a_size_limit(tmp_path):
+    # a valid 300-level player chain, one information set per level, each
+    # with an exit leaf: within the document writer's and reader's depth,
+    # but deeper than the span search can recurse
+    path = tmp_path / "chain.json"
+    path.write_text(serialize_game(player_chain(300)))
+    code, out, _ = run(["classify", str(path)])
+    assert (code, out) == (0, "max: PFR\n")
+    code, out, err = run(["span", str(path)])
+    assert (code, out) == (3, "")
+    assert err == "error: input nested too deeply for this command (recursion limit)\n"
 
 
 def test_cli_reuses_one_parser(tmp_path):

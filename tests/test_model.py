@@ -8,11 +8,8 @@ from recall_forge.model import (
     MAX,
     MIN,
     ChanceNode,
-    Game,
     GameError,
-    GameStructure,
     InformationSet,
-    Leaf,
     PlayerNode,
     RecallClass,
     classify_recall,
@@ -27,7 +24,7 @@ from recall_forge.polynomials import payoff_polynomial
 from recall_forge.seqsets import extract_histories
 from recall_forge.span import realize_sequence_set
 
-from conftest import TreeBuilder
+from conftest import TreeBuilder, player_chain
 
 
 def test_generator_output_is_valid():
@@ -306,23 +303,8 @@ def test_deep_player_chain_without_recursion():
     # 2,000 player levels, each with an exit leaf; built directly, because
     # the JSON decoder stops far sooner
     depth = 2000
-    nodes = {}
-    infosets = []
-    utility = {}
-    next_id = depth
-    for k in range(depth):
-        infosets.append(InformationSet(f"I{k}", MAX, (f"a{k}", f"b{k}")))
-        exit_leaf, next_id = next_id, next_id + 1
-        nodes[exit_leaf] = Leaf()
-        utility[exit_leaf] = Fraction(k)
-        on = k + 1
-        if k == depth - 1:
-            on, next_id = next_id, next_id + 1
-            nodes[on] = Leaf()
-            utility[on] = Fraction(depth)
-        nodes[k] = PlayerNode(f"I{k}", ((f"a{k}", on), (f"b{k}", exit_leaf)))
-    structure = GameStructure(root=0, nodes=nodes, infosets=tuple(infosets))
-    game = Game(structure=structure, chance={}, utility=utility)
+    game = player_chain(depth)
+    structure = game.structure
 
     assert classify_recall(structure, MAX) is RecallClass.PFR
     assert len(extract_histories(structure)) == depth + 1

@@ -23,10 +23,3 @@ def run_script(name, *args):
 def test_worked_examples_script():
     out = run_script("worked_examples.py")
     assert "== two players" in out
-
-
-def test_bench_spans_script():
-    out = run_script("bench_spans.py", "--n-max", "3")
-    lines = out.splitlines()
-    assert lines[0] == "n,histories,span_size,shuffle_depth,subproblems,wall_ms"
-    assert len(lines) == 4

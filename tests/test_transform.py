@@ -5,19 +5,30 @@ from fractions import Fraction
 
 import pytest
 
+from recall_forge.docio import serialize_game, structure_as_game
 from recall_forge.model import (
     MAX,
     MIN,
+    ChanceNode,
+    Game,
     GameError,
+    GameStructure,
+    Leaf,
+    PlayerNode,
     RecallClass,
     classify_recall,
     history,
 )
-from recall_forge.generators import FamilyParams, gen_pennies, gen_random
+from recall_forge.generators import FamilyParams, gen_lowerbound, gen_pennies, gen_random
 from recall_forge.polynomials import payoff_polynomial, poly_equal_under_constraints
 from recall_forge.seqsets import extract_histories
-from recall_forge.span import minimal_span, verify_span
-from recall_forge.transform import compose_two_player, transfer_payoffs
+from recall_forge.span import (
+    minimal_span,
+    realize_sequence_set,
+    structure_from_sequences,
+    verify_span,
+)
+from recall_forge.transform import compose_two_player, transfer_payoffs, uniform_chance
 
 from conftest import build_span_demo, build_two_player_demo, wide_span_set
 
@@ -74,9 +85,15 @@ def test_transfer_traces_duplicate_histories():
     game = gen_pennies("I", 3)
     cert = minimal_span(extract_histories(game.structure))
     out = transfer_payoffs(game, cert)
-    assert len(out.game.structure.leaves()) == 4
-    for leaf in out.game.structure.leaves():
-        assert len(out.payoff_trace[leaf]) == 3
+    s = game.structure
+    target = out.game.structure
+    assert len(target.leaves()) == 4
+    for leaf in target.leaves():
+        seq = target.histories[leaf]
+        sources = [src for src in s.leaves() if seq in cert.combinations[s.histories[src]]]
+        assert len(sources) == 3
+        expected = sum(game.chance_weight(src) * game.utility[src] for src in sources)
+        assert out.game.utility[leaf] == expected / out.game.chance_weight(leaf)
 
 
 def test_transfer_rejects_mismatched_certificate(perfect_recall_demo, span_demo):
@@ -162,3 +179,111 @@ def test_compose_rejects_one_player(perfect_recall_demo):
     cert = minimal_span(extract_histories(perfect_recall_demo.structure))
     with pytest.raises(GameError):
         compose_two_player(perfect_recall_demo, cert, cert)
+
+
+# Reference builders, independent of the shared assignment step: a
+# recursive graft that numbers nodes in preorder, and one payoff bucket per
+# (Max, Min) sequence pair.  The library's documents must match theirs
+# byte for byte.
+
+
+def _old_transfer_payoffs(source, certificate):
+    target = structure_from_sequences(certificate.span)
+    chance = uniform_chance(target)
+    shell = Game(structure=target, chance=chance, utility={})
+    bucket = {}
+    for leaf in source.structure.leaves():
+        hist = history(source.structure, leaf)
+        w = source.chance_weight(leaf)
+        for target_seq in certificate.combinations[hist]:
+            bucket[target_seq] = bucket.get(target_seq, Fraction(0)) + w * source.utility[leaf]
+    utility = {
+        leaf: bucket.get(history(target, leaf), Fraction(0)) / shell.chance_weight(leaf)
+        for leaf in target.leaves()
+    }
+    return Game(structure=target, chance=chance, utility=utility)
+
+
+def _old_graft(top, bottom, infosets):
+    nodes = {}
+    next_id = [0]
+
+    def copy(structure, nid, graft_leaves):
+        new_id = next_id[0]
+        next_id[0] += 1
+        node = structure.nodes[nid]
+        if isinstance(node, Leaf):
+            if graft_leaves:
+                next_id[0] -= 1
+                return copy(bottom, bottom.root, False)
+            nodes[new_id] = Leaf()
+            return new_id
+        if isinstance(node, ChanceNode):
+            nodes[new_id] = ChanceNode(())
+            kids = tuple(copy(structure, c, graft_leaves) for c in node.children)
+            nodes[new_id] = ChanceNode(kids)
+            return new_id
+        nodes[new_id] = PlayerNode(node.infoset, ())
+        kids2 = tuple((a, copy(structure, c, graft_leaves)) for a, c in node.children)
+        nodes[new_id] = PlayerNode(node.infoset, kids2)
+        return new_id
+
+    root = copy(top, top.root, True)
+    return GameStructure(root=root, nodes=nodes, infosets=infosets)
+
+
+def _old_compose_two_player(source, span_max, span_min):
+    top = structure_from_sequences(span_max.span)
+    bottom = structure_from_sequences(span_min.span)
+    composed = _old_graft(top, bottom, source.structure.infosets)
+    chance = uniform_chance(composed)
+    shell = Game(structure=composed, chance=chance, utility={})
+    bucket = {}
+    for leaf in source.structure.leaves():
+        h_max = history(source.structure, leaf, MAX)
+        h_min = history(source.structure, leaf, MIN)
+        w = source.chance_weight(leaf)
+        for m in span_max.combinations[h_max]:
+            for v in span_min.combinations[h_min]:
+                key = (m, v)
+                bucket[key] = bucket.get(key, Fraction(0)) + w * source.utility[leaf]
+    utility = {}
+    for leaf in composed.leaves():
+        key = (history(composed, leaf, MAX), history(composed, leaf, MIN))
+        utility[leaf] = bucket.get(key, Fraction(0)) / shell.chance_weight(leaf)
+    return Game(structure=composed, chance=chance, utility=utility)
+
+
+def _one_player_corpus():
+    for variant in ("I", "II", "III"):
+        for n in range(2, 7):
+            yield gen_pennies(variant, n)
+    for n in range(1, 7):
+        game = structure_as_game(realize_sequence_set(gen_lowerbound(n)))
+        rng = random.Random(n)
+        utility = {leaf: Fraction(rng.randint(-5, 9), rng.randint(1, 4)) for leaf in game.utility}
+        yield Game(structure=game.structure, chance=game.chance, utility=utility)
+    for seed in range(1, 41):
+        yield gen_random(FamilyParams(family="random", seed=seed))
+
+
+def test_transform_matches_old_builders():
+    transferred = 0
+    for game in _one_player_corpus():
+        cert = minimal_span(extract_histories(game.structure))
+        new = serialize_game(transfer_payoffs(game, cert).game)
+        assert new == serialize_game(_old_transfer_payoffs(game, cert))
+        transferred += 1
+    assert transferred == 15 + 6 + 40
+
+    composed = 0
+    for seed in range(1, 81):
+        game = gen_random(FamilyParams(family="random", seed=seed, players=2))
+        if set(game.structure.players()) != {MAX, MIN}:
+            continue
+        cert_max = minimal_span(extract_histories(game.structure, MAX))
+        cert_min = minimal_span(extract_histories(game.structure, MIN))
+        new = serialize_game(compose_two_player(game, cert_max, cert_min).game)
+        assert new == serialize_game(_old_compose_two_player(game, cert_max, cert_min))
+        composed += 1
+    assert composed == 74
