@@ -33,7 +33,13 @@ from .model import GameError, SizeLimitError, classify_recall
 from .seqsets import extract_histories
 from .shuffle import salr_witness
 from .solver import solve
-from .span import minimal_span, realize_sequence_set, shuffle_depth, verify_span
+from .span import (
+    minimal_span,
+    realize_sequence_set,
+    shuffle_depth,
+    unspanned_sequence,
+    verify_span,
+)
 from .transform import compose_two_player, transfer_payoffs
 
 EXIT_OK = 0
@@ -218,14 +224,16 @@ def _dispatch(args, stdout, stderr) -> int:
         return EXIT_OK
 
     if args.command == "verify-span":
-        original = parse_game(_read(args.original))
-        candidate = parse_game(_read(args.candidate))
-        cert = verify_span(
-            extract_histories(original.structure),
-            extract_histories(candidate.structure),
-        )
+        original_game = parse_game(_read(args.original))
+        candidate_game = parse_game(_read(args.candidate))
+        original = extract_histories(original_game.structure)
+        candidate = extract_histories(candidate_game.structure)
+        cert = verify_span(original, candidate)
         if cert is None:
-            stderr.write("candidate does not span the original\n")
+            missing = " ".join(unspanned_sequence(original, candidate))
+            stderr.write(
+                f"candidate does not span the original: no generator set for {missing!r}\n"
+            )
             return EXIT_NEGATIVE
         stdout.write(serialize_certificate(cert))
         return EXIT_OK

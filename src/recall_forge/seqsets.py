@@ -4,13 +4,14 @@ A sequence is a word of action labels with at most one action per
 information set (histories of non-absentminded players have this shape).
 Everything here is pure and order-deterministic: infosets keep their
 declaration order, and sequences are iterated in a fixed total order
-derived from that declaration order.
+derived from that declaration order.  `Monomials` codes sequences as
+integers for the span searches, which never read the order of actions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, NoReturn, Optional
+from typing import Iterable, NamedTuple, NoReturn, Optional, TypeVar
 
 from .model import (
     Action,
@@ -24,6 +25,8 @@ from .model import (
 
 Sequence = tuple[Action, ...]
 EPSILON: Sequence = ()
+
+_K = TypeVar("_K")
 
 
 class _Universe(NamedTuple):
@@ -146,15 +149,13 @@ def extract_histories(structure: GameStructure, player: Optional[str] = None) ->
     return SequenceSet(frozenset(seqs), infosets)
 
 
-def _components(ss: SequenceSet) -> list[frozenset[Sequence]]:
-    """Connected components; the empty sequence is always its own component.
+def _connected(masks: dict[_K, int]) -> list[list[_K]]:
+    """The keys grouped by transitively overlapping infoset masks.
 
-    Sequences connect when their infoset masks overlap.  Components are
-    ordered by their smallest member in `seq_key` order, so an epsilon
-    component comes first.
+    Merges the masks into disjoint unions, then buckets each key under
+    the union holding its mask.  A zero mask (epsilon's) overlaps nothing
+    and is a group of its own.
     """
-    seqs = ss.sequences
-    masks = ss.masks
     groups: list[int] = []  # disjoint unions of overlapping masks
     for m in set(masks.values()):
         rest = []
@@ -166,12 +167,24 @@ def _components(ss: SequenceSet) -> list[frozenset[Sequence]]:
         rest.append(m)
         groups = rest
     if len(groups) <= 1:
-        return [seqs] if seqs else []
-    buckets: dict[int, list[Sequence]] = {g: [] for g in groups}
-    for s, m in masks.items():
-        # epsilon's mask 0 overlaps nothing and is a group of its own
-        buckets[next(g for g in groups if g & m or g == m)].append(s)
-    ordered = sorted(buckets.values(), key=lambda b: min(map(ss.seq_key, b)))
+        return [list(masks)] if masks else []
+    buckets: dict[int, list[_K]] = {g: [] for g in groups}
+    for key, m in masks.items():
+        buckets[next(g for g in groups if g & m or g == m)].append(key)
+    return list(buckets.values())
+
+
+def _components(ss: SequenceSet) -> list[frozenset[Sequence]]:
+    """Connected components; the empty sequence is always its own component.
+
+    Sequences connect when their infoset masks overlap.  Components are
+    ordered by their smallest member in `seq_key` order, so an epsilon
+    component comes first.
+    """
+    groups = _connected(ss.masks)
+    if len(groups) <= 1:
+        return [ss.sequences] if groups else []
+    ordered = sorted(groups, key=lambda b: min(map(ss.seq_key, b)))
     return [frozenset(b) for b in ordered]
 
 
@@ -200,6 +213,119 @@ def branches(
         else:
             residual.append(s)
     return [(a, frozenset(residual + q)) for a, q in quotients.items()]
+
+
+class Monomials:
+    """The integer kernel of the span searches.
+
+    Each action is one bit, the actions of an information set in
+    consecutive bits (declaration order), and a sequence is coded as the
+    OR of its action bits: its monomial.  Components, the covering
+    infoset, the present infosets and the branch step read only which
+    actions a sequence holds, never their order, so on a set of monomials
+    they are a few integer operations: the quotient on action bit A is
+    `m ^ A` for every `m` with `m & A`, and the residual is every `m`
+    with no bit of that infoset.
+
+    An infoset mask marks each information set a monomial touches by
+    that infoset's lowest action bit.  It is computed by folding every
+    action bit down to the lowest bit of its infoset, a few shifts in all
+    however long the sequence.  Each distinct monomial is checked once,
+    when its infoset mask is first computed: one action per information
+    set, and no bit outside the universe.
+    """
+
+    def __init__(self, infosets: tuple[InformationSet, ...]) -> None:
+        self.action_bit: dict[Action, int] = {}
+        self._blocks: list[tuple[int, tuple[int, ...]]] = []  # per infoset: (OR, bits)
+        self._position: dict[int, int] = {}  # an infoset's lowest bit -> its position
+        bit = 1
+        for k, info in enumerate(infosets):
+            bits = tuple(bit << j for j in range(len(info.actions)))
+            self.action_bit.update(zip(info.actions, bits))
+            self._blocks.append((sum(bits), bits))
+            self._position[bit] = k
+            bit <<= len(bits)
+        self._universe = bit - 1
+        self._firsts = sum(self._position)
+        # (shift, the bits that stay in their infoset when moved down by it),
+        # for shift = 1, 2, 4, ... below the largest action count
+        self._folds: list[tuple[int, int]] = []
+        shift = 1
+        while any(len(bits) > shift for _, bits in self._blocks):
+            stay = sum(b for _, bits in self._blocks for b in bits[shift:])
+            self._folds.append((shift, stay))
+            shift *= 2
+        self._masks: dict[int, int] = {0: 0}  # monomial -> infoset mask
+
+    def encode(self, seqs: Iterable[Sequence]) -> frozenset[int]:
+        """The monomials of a set of sequences over this universe."""
+        out = set()
+        for s in seqs:
+            m = 0
+            for a in s:
+                m |= self.action_bit[a]
+            out.add(m)
+        return frozenset(out)
+
+    def infoset_mask(self, m: int) -> int:
+        """The lowest action bit of each infoset the monomial touches."""
+        got = self._masks.get(m)
+        if got is None:
+            if m & ~self._universe:
+                raise GameError(f"monomial {m:#x} has a bit outside the universe")
+            folded = m
+            for shift, stay in self._folds:
+                folded |= (folded & stay) >> shift
+            got = folded & self._firsts
+            if got.bit_count() != m.bit_count():
+                raise GameError(f"monomial {m:#x} repeats an information set")
+            self._masks[m] = got
+        return got
+
+    def components(self, ms: frozenset[int]) -> list[frozenset[int]]:
+        """Connected components, as in `_components`, in no fixed order."""
+        groups = _connected({m: self.infoset_mask(m) for m in ms})
+        if len(groups) <= 1:
+            return [ms] if groups else []
+        return [frozenset(g) for g in groups]
+
+    def covering(self, ms: frozenset[int]) -> Optional[int]:
+        """Position of the first infoset touching every monomial, if any."""
+        if not ms:
+            return None
+        common = -1
+        for m in ms:
+            common &= self.infoset_mask(m)
+            if not common:
+                return None
+        return self._position[common & -common]
+
+    def present(self, ms: frozenset[int]) -> list[int]:
+        """Positions of the infosets with an action in some monomial."""
+        used = 0
+        for m in ms:
+            used |= self.infoset_mask(m)
+        out = []
+        while used:
+            low = used & -used
+            out.append(self._position[low])
+            used ^= low
+        return out
+
+    def branches(self, ms: frozenset[int], k: int) -> list[frozenset[int]]:
+        """`branches` on monomials: for each action of `infosets[k]`, in
+        declaration order, its quotient plus the residual."""
+        block, bits = self._blocks[k]
+        quotients: dict[int, list[int]] = {b: [] for b in bits}
+        residual: list[int] = []
+        for m in ms:
+            a = m & block
+            if a:
+                quotients[a].append(m ^ a)
+            else:
+                residual.append(m)
+        return [frozenset(residual + q) for q in quotients.values()]
 
 
 def covering_infoset(ss: SequenceSet) -> Optional[InformationSet]:

@@ -7,6 +7,16 @@ mirrors the shuffle detection: a covering infoset fixes the first level;
 with no covering infoset, every information set is tried and the
 smallest candidate wins (declaration order breaks ties).
 
+The minimal-span and shuffle-depth searches run on monomials, the
+integer codes of `seqsets.Monomials`.  Every step of both recursions
+(components, the covering infoset, the present infosets, the branch
+step, dropping epsilon) reads only which actions a sequence holds, and
+the span's sequences are built as `(a,) + t` from the infosets fixed on
+the way down.  So a subproblem's answer depends only on its set of
+monomials, and sequences that differ only in action order are one
+subproblem.  The verifier and the A-loss-recall test stay on tuples: they
+read the first action of each sequence, so order matters to them.
+
 The verifier is independent of the construction: for each original
 sequence it restricts the candidate to supersequences, divides them out,
 and searches for a strongly branching subset.  Certificates store those
@@ -32,11 +42,9 @@ from .model import (
 )
 from .seqsets import (
     EPSILON,
+    Monomials,
     Sequence,
     SequenceSet,
-    _components,
-    branches,
-    covering_infoset,
     find_strongly_branching_subset,
     is_alr_set,
 )
@@ -70,43 +78,56 @@ def canonical_full_span(infosets: Iterable[InformationSet]) -> SequenceSet:
     return SequenceSet(frozenset(seqs), infosets)
 
 
-def _strip_epsilon(seqs: frozenset[Sequence]) -> frozenset[Sequence]:
-    if EPSILON in seqs and len(seqs) > 1:
-        return seqs - {EPSILON}
-    return seqs
+_EPSILON_ONLY = frozenset({0})  # the monomial of the empty sequence
+
+
+def _strip_epsilon(ms: frozenset[int]) -> frozenset[int]:
+    if 0 in ms and len(ms) > 1:
+        return ms - {0}
+    return ms
 
 
 def _minimal_span_set(ss: SequenceSet, stats: Optional[SpanStats] = None) -> frozenset[Sequence]:
-    """Smallest A-loss-recall span of the set, as a set of sequences."""
-    memo: dict[frozenset[Sequence], frozenset[Sequence]] = {}
+    """Smallest A-loss-recall span of the set, as a set of sequences.
 
-    def rec(seqs: frozenset[Sequence]) -> frozenset[Sequence]:
-        seqs = _strip_epsilon(seqs)
-        if not seqs or seqs == frozenset({EPSILON}):
-            return seqs
-        got = memo.get(seqs)
+    Runs on monomials (see the module docstring).  The candidates for the
+    actions of one infoset start with distinct actions, so a candidate's
+    size is the sum of its branch spans' sizes; only the winner's
+    sequences are built.
+    """
+    kernel = Monomials(ss.infosets)
+    memo: dict[frozenset[int], frozenset[Sequence]] = {}
+
+    def rec(ms: frozenset[int]) -> frozenset[Sequence]:
+        ms = _strip_epsilon(ms)
+        if ms <= _EPSILON_ONLY:
+            return frozenset({EPSILON}) if ms else frozenset()
+        got = memo.get(ms)
         if got is not None:
             if stats:
                 stats.lookups += 1
             return got
         if stats:
             stats.subproblems += 1
-        sub = ss.with_sequences(seqs)
-        comps = _components(sub)
+        comps = kernel.components(ms)
         if len(comps) > 1:
-            result = frozenset().union(*(rec(c) for c in comps))
+            result = frozenset().union(*map(rec, comps))
         else:
-            cover = covering_infoset(sub)
-            tried = [cover] if cover is not None else sub.present_infosets()
-            candidates = (
-                frozenset((a,) + t for a, q in branches(seqs, info) for t in rec(q))
-                for info in tried
-            )
-            result = min(candidates, key=len)  # the first smallest wins ties
-        memo[seqs] = result
+            cover = kernel.covering(ms)
+            best: list[tuple[Action, frozenset[Sequence]]] = []
+            best_size = -1
+            for k in [cover] if cover is not None else kernel.present(ms):
+                spans = []  # a loop, not a comprehension: one stack frame per level
+                for a, q in zip(ss.infosets[k].actions, kernel.branches(ms, k)):
+                    spans.append((a, rec(q)))
+                size = sum(len(t) for _, t in spans)
+                if best_size < 0 or size < best_size:  # the first smallest wins ties
+                    best, best_size = spans, size
+            result = frozenset((a,) + t for a, span in best for t in span)
+        memo[ms] = result
         return result
 
-    result = rec(ss.sequences)
+    result = rec(kernel.encode(ss.sequences))
     memo.clear()  # see seqsets.is_alr_set
     return result
 
@@ -131,34 +152,34 @@ def shuffle_depth(ss: SequenceSet) -> int:
     that infoset has depth 0: this is the shuffled-A-loss-recall recursion
     of `salr_witness`, whose verdict does not depend on which covering
     infoset is fixed.  Those branch depths are also candidates of the
-    `1 + min(max ...)` step, so the memo computes them once.
+    `1 + min(max ...)` step, so the memo computes them once.  Runs on
+    monomials, like the span search.
     """
-    memo: dict[frozenset[Sequence], int] = {}
+    kernel = Monomials(ss.infosets)
+    memo: dict[frozenset[int], int] = {}
 
-    def rec(seqs: frozenset[Sequence]) -> int:
-        seqs = _strip_epsilon(seqs)
-        if not seqs or seqs == frozenset({EPSILON}):
+    def rec(ms: frozenset[int]) -> int:
+        ms = _strip_epsilon(ms)
+        if ms <= _EPSILON_ONLY:
             return 0
-        got = memo.get(seqs)
+        got = memo.get(ms)
         if got is not None:
             return got
-        sub = ss.with_sequences(seqs)
-        comps = _components(sub)
+        comps = kernel.components(ms)
         if len(comps) > 1:
-            ans = max(rec(c) for c in comps)
+            ans = max(map(rec, comps))
         else:
-            cover = covering_infoset(sub)
-            if cover is not None and all(rec(q) == 0 for _, q in branches(seqs, cover)):
+            cover = kernel.covering(ms)
+            if cover is not None and not any(map(rec, kernel.branches(ms, cover))):
                 ans = 0
             else:
                 ans = 1 + min(
-                    max(rec(q) for _, q in branches(seqs, info))
-                    for info in sub.present_infosets()
+                    max(map(rec, kernel.branches(ms, k))) for k in kernel.present(ms)
                 )
-        memo[seqs] = ans
+        memo[ms] = ans
         return ans
 
-    result = rec(ss.sequences)
+    result = rec(kernel.encode(ss.sequences))
     memo.clear()  # see seqsets.is_alr_set
     return result
 
@@ -170,8 +191,27 @@ def verify_span(original: SequenceSet, candidate: SequenceSet) -> Optional[SpanC
     of s's actions are divided by s; a strongly branching subset of the
     quotients certifies that the matching candidates sum to the monomial
     of s.  Returns the certificate, or None if some monomial is out of
-    reach.  The candidate must be an A-loss-recall set.
+    reach (`unspanned_sequence` names the first).  The candidate must be
+    an A-loss-recall set.
     """
+    combos, missing = _generator_sets(original, candidate)
+    if missing is not None:
+        return None
+    return SpanCertificate(original=original, span=candidate, combinations=combos)
+
+
+def unspanned_sequence(original: SequenceSet, candidate: SequenceSet) -> Optional[Sequence]:
+    """The first original sequence, in `sorted_sequences` order, with no
+    strongly branching generator set in the candidate, or None when the
+    candidate spans the original."""
+    return _generator_sets(original, candidate)[1]
+
+
+def _generator_sets(
+    original: SequenceSet, candidate: SequenceSet
+) -> tuple[dict[Sequence, frozenset[Sequence]], Optional[Sequence]]:
+    """The generator set of each original sequence in `sorted_sequences`
+    order, up to the first that has none; that sequence, or None."""
     if not is_alr_set(candidate):
         raise GameError("candidate is not an A-loss-recall set")
     combos: dict[Sequence, frozenset[Sequence]] = {}
@@ -187,9 +227,9 @@ def verify_span(original: SequenceSet, candidate: SequenceSet) -> Optional[SpanC
             candidate.with_sequences(quot_source.keys())
         )
         if sb is None:
-            return None
+            return combos, s
         combos[s] = frozenset(quot_source[q] for q in sb.sequences)
-    return SpanCertificate(original=original, span=candidate, combinations=combos)
+    return combos, None
 
 
 def realize_sequence_set(ss: SequenceSet) -> GameStructure:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from recall_forge import cli
 from recall_forge.cli import cli_main
 from recall_forge.docio import (
     DocumentError,
@@ -234,8 +235,9 @@ def test_cli_verify_span(tmp_path):
     # a game cannot be spanned by something missing most of its actions
     other = tmp_path / "other.json"
     other.write_text(serialize_game(gen_pennies("I", 3)))
-    code, _, err = run(["verify-span", str(src), str(other)])
-    assert code in (1, 2)
+    code, out, err = run(["verify-span", str(src), str(other)])
+    assert (code, out) == (2, "")
+    assert err == "candidate does not span the original: no generator set for 'H_A0 H_BH'\n"
 
 
 def test_cli_compose(tmp_path):
@@ -396,14 +398,33 @@ def test_cli_usage_errors(tmp_path):
 def test_cli_deep_input_is_a_size_limit(tmp_path):
     # a valid 300-level player chain, one information set per level, each
     # with an exit leaf: within the document writer's and reader's depth,
-    # but deeper than the span search can recurse
+    # and within the depth the span and shuffle-depth searches recurse to
     path = tmp_path / "chain.json"
-    path.write_text(serialize_game(player_chain(300)))
+    chain = player_chain(300)
+    path.write_text(serialize_game(chain))
     code, out, _ = run(["classify", str(path)])
     assert (code, out) == (0, "max: PFR\n")
     code, out, err = run(["span", str(path)])
-    assert (code, out) == (3, "")
-    assert err == "error: input nested too deeply for this command (recursion limit)\n"
+    assert (code, err) == (0, "")
+    spanned = extract_histories(parse_game(out).structure)
+    assert spanned.sequences == extract_histories(chain.structure).sequences
+    assert run(["sd", str(path)]) == (0, "0\n", "")
+
+
+def test_cli_recursion_error_is_a_size_limit(tmp_path, monkeypatch):
+    # a command that recurses past the interpreter's limit ends with exit 3
+    # and one line, never a traceback
+    def endless(ss, depth=0):
+        return endless(ss, depth + 1)
+
+    monkeypatch.setattr(cli, "minimal_span", endless)
+    path = tmp_path / "game.json"
+    path.write_text(serialize_game(gen_pennies("I", 2)))
+    assert run(["span", str(path)]) == (
+        3,
+        "",
+        "error: input nested too deeply for this command (recursion limit)\n",
+    )
 
 
 def test_cli_reuses_one_parser(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from recall_forge.model import MAX, GameError, InformationSet, RecallClass, classify_recall
 from recall_forge.generators import FamilyParams, gen_pennies, gen_random
 from recall_forge.seqsets import (
+    Monomials,
     SequenceSet,
     _components,
     branches,
@@ -248,6 +250,51 @@ def test_branch_outputs_are_valid_sets(ss):
     for info in ss.infosets:
         for _, q in branches(ss.sequences, info):
             assert ss.with_sequences(q).sequences == q
+
+
+@given(sequence_sets())
+@example(SequenceSet(seqs("", "c", "a e", "b"), PAIR))
+@settings(max_examples=300, deadline=None)
+def test_monomial_kernel_matches_tuple_steps(ss):
+    # FIVE has three actions per infoset, so masks take two folds
+    kernel = Monomials(ss.infosets)
+    ms = kernel.encode(ss.sequences)
+    assert set(kernel.components(ms)) == {kernel.encode(c) for c in _components(ss)}
+    cover = covering_infoset(ss)
+    assert kernel.covering(ms) == (None if cover is None else ss.infosets.index(cover))
+    assert [ss.infosets[k] for k in kernel.present(ms)] == ss.present_infosets()
+    for k, info in enumerate(ss.infosets):
+        want = [kernel.encode(q) for _, q in branches(ss.sequences, info)]
+        assert kernel.branches(ms, k) == want
+
+
+def test_monomial_kernel_checks_each_monomial():
+    kernel = Monomials(PAIR)
+    a, b, c, d = (kernel.action_bit[x] for x in "abcd")
+    assert (a, b, c, d) == (1, 2, 4, 8)
+    # an infoset is marked by its lowest action bit
+    assert kernel.infoset_mask(b | d) == a | c
+    with pytest.raises(GameError, match="monomial 0x3 repeats an information set"):
+        kernel.infoset_mask(a | b)
+    with pytest.raises(GameError, match="monomial 0x41 has a bit outside the universe"):
+        kernel.infoset_mask(a | 1 << 6)
+    # the search steps check every monomial they read
+    with pytest.raises(GameError, match="repeats an information set"):
+        kernel.components(frozenset({c, a | b}))
+    # infosets of 1 to 5 actions: every action folds onto its infoset's first
+    mixed = tuple(
+        InformationSet(f"M{k}", MAX, tuple(f"m{k}_{j}" for j in range(size)))
+        for k, size in enumerate((1, 4, 2, 5, 3))
+    )
+    kernel = Monomials(mixed)
+    first = {a: kernel.action_bit[info.actions[0]] for info in mixed for a in info.actions}
+    for x, y in itertools.combinations(first, 2):
+        m = kernel.action_bit[x] | kernel.action_bit[y]
+        if first[x] == first[y]:
+            with pytest.raises(GameError, match="repeats an information set"):
+                kernel.infoset_mask(m)
+        else:
+            assert kernel.infoset_mask(m) == first[x] | first[y]
 
 
 @given(st.integers(min_value=0, max_value=10_000))

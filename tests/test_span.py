@@ -14,10 +14,12 @@ from recall_forge.model import (
     RecallClass,
     classify_recall,
 )
-from recall_forge.generators import gen_lowerbound, gen_pennies
+from recall_forge.generators import FamilyParams, gen_lowerbound, gen_pennies, gen_random
 from recall_forge.polynomials import monomial_sum, canonicalize
 from recall_forge.seqsets import (
     SequenceSet,
+    _components,
+    branches,
     components,
     covering_infoset,
     extract_histories,
@@ -27,6 +29,7 @@ from recall_forge.seqsets import (
 from recall_forge.shuffle import salr_witness
 from recall_forge.span import (
     SpanStats,
+    _minimal_span_set,
     canonical_full_span,
     minimal_span,
     minimality_oracle,
@@ -36,6 +39,7 @@ from recall_forge.span import (
 )
 
 from conftest import (
+    SHUFFLE_DEMO_SET,
     SHUFFLE_DEMO_WITNESS,
     SPAN_DEMO_SET,
     THREE_BINARY,
@@ -130,13 +134,107 @@ def test_shuffle_depth_zero_iff_salr_on_families():
 
 def test_pennies_iii_search_counters():
     # (subproblems, memo lookups) of the span search and the shuffle depth
-    expected = {8: (115, 556), 14: (1008, 8026), 16: (2031, 18156)}
+    expected = {8: (115, 556), 14: (1008, 8026), 16: (2031, 18156), 20: (8173, 88708)}
     for n, counters in expected.items():
         ss = extract_histories(gen_pennies("III", n).structure)
         stats = SpanStats()
         minimal_span(ss, stats)
         assert (stats.subproblems, stats.lookups) == counters
         assert shuffle_depth(ss) == 2
+
+
+def _tuple_span_search(ss: SequenceSet, stats: SpanStats) -> frozenset:
+    """The span search on tuples of actions, as it ran before the monomial
+    kernel: every candidate is built in full and the first smallest wins."""
+    memo: dict = {}
+
+    def rec(seqs_: frozenset) -> frozenset:
+        if () in seqs_ and len(seqs_) > 1:
+            seqs_ = seqs_ - {()}
+        if not seqs_ or seqs_ == frozenset({()}):
+            return seqs_
+        if seqs_ in memo:
+            stats.lookups += 1
+            return memo[seqs_]
+        stats.subproblems += 1
+        sub = ss.with_sequences(seqs_)
+        comps = _components(sub)
+        if len(comps) > 1:
+            result = frozenset().union(*(rec(c) for c in comps))
+        else:
+            cover = covering_infoset(sub)
+            tried = [cover] if cover is not None else sub.present_infosets()
+            candidates = [
+                frozenset((a,) + t for a, q in branches(seqs_, info) for t in rec(q))
+                for info in tried
+            ]
+            result = min(candidates, key=len)
+        memo[seqs_] = result
+        return result
+
+    return rec(ss.sequences)
+
+
+def _tuple_shuffle_depth(ss: SequenceSet) -> int:
+    """`shuffle_depth` on tuples of actions, as it ran before the kernel."""
+    memo: dict = {}
+
+    def rec(seqs_: frozenset) -> int:
+        if () in seqs_ and len(seqs_) > 1:
+            seqs_ = seqs_ - {()}
+        if not seqs_ or seqs_ == frozenset({()}):
+            return 0
+        if seqs_ in memo:
+            return memo[seqs_]
+        sub = ss.with_sequences(seqs_)
+        comps = _components(sub)
+        if len(comps) > 1:
+            ans = max(rec(c) for c in comps)
+        else:
+            cover = covering_infoset(sub)
+            if cover is not None and all(rec(q) == 0 for _, q in branches(seqs_, cover)):
+                ans = 0
+            else:
+                ans = 1 + min(
+                    max(rec(q) for _, q in branches(seqs_, info))
+                    for info in sub.present_infosets()
+                )
+        memo[seqs_] = ans
+        return ans
+
+    return rec(ss.sequences)
+
+
+def test_monomial_search_matches_tuple_search():
+    """The monomial kernel gives the tuple search's span, SpanStats and
+    shuffle depth; the last set holds `b a` and `a b`, one monomial."""
+    cases = [
+        extract_histories(gen_pennies(variant, n).structure)
+        for variant in ("I", "II", "III")
+        for n in range(2, 11)
+    ]
+    cases += [gen_lowerbound(n) for n in range(1, 8)]
+    for seed in range(1, 61):
+        game = gen_random(
+            FamilyParams(family="random", seed=seed, depth=2 + seed % 5, branching=2 + seed % 2)
+        )
+        strategies = 1
+        for info in game.structure.infosets:
+            strategies *= len(info.actions)
+        if strategies > 2**12:  # the acceptance suite's bound; seed 59 has 8,957,952
+            continue
+        try:
+            cases.append(extract_histories(game.structure))
+        except GameError:  # absentminded
+            pass
+    infosets = build_shuffle_demo().structure.infosets
+    cases.append(SequenceSet(SHUFFLE_DEMO_SET | SHUFFLE_DEMO_WITNESS, infosets))
+    assert len(cases) == 85  # 27 pennies, 7 lowerbound, 50 random, the demo union
+    for ss in cases:
+        got, want = SpanStats(), SpanStats()
+        assert _minimal_span_set(ss, got) == _tuple_span_search(ss, want)
+        assert (got.subproblems, got.lookups) == (want.subproblems, want.lookups)
+        assert shuffle_depth(ss) == _tuple_shuffle_depth(ss)
 
 
 def test_verify_span_layered_combinations():
@@ -300,9 +398,10 @@ def _sd_oracle(ss: SequenceSet) -> int:
     the base case; only usable on tiny sets."""
     from recall_forge.seqsets import branches
     from recall_forge.shuffle import salr_bruteforce_oracle
-    from recall_forge.span import _strip_epsilon
 
-    seqs_ = _strip_epsilon(ss.sequences)
+    seqs_ = ss.sequences
+    if () in seqs_ and len(seqs_) > 1:
+        seqs_ = seqs_ - {()}
     if not seqs_ or seqs_ == frozenset({()}):
         return 0
     sub = ss.with_sequences(seqs_)
