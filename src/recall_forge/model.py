@@ -134,11 +134,15 @@ class GameStructure:
         return out
 
     @cached_property
+    def problems(self) -> tuple[str, ...]:
+        """`validate(self)`, computed once."""
+        return tuple(validate(self))
+
+    @cached_property
     def recall_classes(self) -> dict[str, RecallClass]:
         """Each player's recall class, computed once the structure validates."""
-        problems = validate(self)
-        if problems:
-            raise GameError("invalid structure: " + "; ".join(problems))
+        if self.problems:
+            raise GameError("invalid structure: " + "; ".join(self.problems))
         return {p: _classify(self, p) for p in self.players()}
 
     def leaves(self) -> list[NodeId]:
@@ -269,7 +273,7 @@ def validate(structure: GameStructure) -> list[str]:
 
 def validate_game(game: Game) -> list[str]:
     """Structure invariants plus chance/payoff bookkeeping."""
-    out = validate(game.structure)
+    out = list(game.structure.problems)
     for nid, node in game.structure.nodes.items():
         if isinstance(node, ChanceNode):
             probs = game.chance.get(nid)

@@ -44,17 +44,6 @@ class Polynomial:
     ) -> Polynomial:
         return Polynomial({m: c for m, c in terms.items() if c != 0}, infosets)
 
-    def __add__(self, other: Polynomial) -> Polynomial:
-        if self.infosets != other.infosets:
-            raise GameError("polynomial alphabets differ")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Polynomial.build(out, self.infosets)
-
-    def scale(self, k: Fraction) -> Polynomial:
-        return Polynomial.build({m: c * k for m, c in self.terms.items()}, self.infosets)
-
     def is_constant(self, value: Fraction) -> bool:
         if value == 0:
             return not self.terms

@@ -4,14 +4,19 @@ A sequence is a word of action labels with at most one action per
 information set (histories of non-absentminded players have this shape).
 Everything here is pure and order-deterministic: infosets keep their
 declaration order, and sequences are iterated in a fixed total order
-derived from that declaration order.  `Monomials` codes sequences as
-integers for the span searches, which never read the order of actions.
+derived from that declaration order.
+
+Every set carries its universe, a `Monomials` built once from the infoset
+tuple and shared by every derived subset, and each sequence's infoset
+mask.  The covering infoset, the present infosets and the components read
+those masks, on sequence sets and in the span searches alike; the steps
+that read the order of actions stay on tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, NoReturn, Optional, TypeVar
+from typing import Iterable, NoReturn, Optional, TypeVar
 
 from .model import (
     Action,
@@ -29,35 +34,131 @@ EPSILON: Sequence = ()
 _K = TypeVar("_K")
 
 
-class _Universe(NamedTuple):
-    """Lookup tables that depend only on the infoset tuple.
+class Monomials:
+    """The universe of every sequence set, and the integer kernel of the
+    span searches.
 
-    Built when a set is constructed from its infosets; `with_sequences`
-    hands them on, so every derived subset shares them.  Positions are
-    declaration order.
+    Each action is one bit, the actions of an information set in
+    consecutive bits (declaration order), so action bits increase in
+    (infoset, action) declaration order.  A sequence is coded as the OR of
+    its action bits: its monomial.  An infoset mask marks each information
+    set a sequence touches by that infoset's lowest action bit.
+
+    Components, the covering infoset, the present infosets and the branch
+    step read only which actions a sequence holds, never their order, so
+    on a set of monomials they are a few integer operations: the quotient
+    on action bit A is `m ^ A` for every `m` with `m & A`, and the
+    residual is every `m` with no bit of that infoset.  A monomial's
+    infoset mask is computed by folding every action bit down to the
+    lowest bit of its infoset, a few shifts in all however long the
+    sequence.  Each distinct monomial is checked once, when its infoset
+    mask is first computed: one action per information set, and no bit
+    outside the universe.
     """
 
-    alphabet: dict[Action, str]  # action -> infoset id
-    sort_key: dict[Action, tuple[int, int]]  # action -> (infoset, action) position
-    bit: dict[Action, int]  # action -> 1 << infoset position
+    def __init__(self, infosets: tuple[InformationSet, ...]) -> None:
+        self.infoset_id: dict[Action, str] = {}  # action -> infoset id
+        self.action_bit: dict[Action, int] = {}
+        self.infoset_bit: dict[Action, int] = {}  # action -> its infoset's lowest bit
+        self.position: dict[int, int] = {}  # an infoset's lowest bit -> its position
+        self._blocks: list[tuple[int, tuple[int, ...]]] = []  # per infoset: (OR, bits)
+        ids: set[str] = set()
+        bit = 1
+        for k, info in enumerate(infosets):
+            if info.id in ids:
+                raise GameError(f"duplicate information set id {info.id!r}")
+            ids.add(info.id)
+            bits = tuple(bit << j for j in range(len(info.actions)))
+            for a, b in zip(info.actions, bits):
+                if a in self.infoset_id:
+                    raise GameError(
+                        f"action {a!r} appears in both {self.infoset_id[a]!r} and {info.id!r}"
+                    )
+                self.infoset_id[a] = info.id
+                self.action_bit[a] = b
+                self.infoset_bit[a] = bit
+            self._blocks.append((sum(bits), bits))
+            self.position[bit] = k
+            bit <<= len(bits)
+        self._universe = bit - 1
+        self._firsts = sum(self.position)
+        # (shift, the bits that stay in their infoset when moved down by it),
+        # for shift = 1, 2, 4, ... below the largest action count
+        self._folds: list[tuple[int, int]] = []
+        shift = 1
+        while any(len(bits) > shift for _, bits in self._blocks):
+            stay = sum(b for _, bits in self._blocks for b in bits[shift:])
+            self._folds.append((shift, stay))
+            shift *= 2
+        self._masks: dict[int, int] = {0: 0}  # monomial -> infoset mask
 
+    def encode(self, seqs: Iterable[Sequence]) -> frozenset[int]:
+        """The monomials of a set of sequences over this universe."""
+        out = set()
+        for s in seqs:
+            m = 0
+            for a in s:
+                m |= self.action_bit[a]
+            out.add(m)
+        return frozenset(out)
 
-def _universe(infosets: tuple[InformationSet, ...]) -> _Universe:
-    alphabet: dict[Action, str] = {}
-    sort_key: dict[Action, tuple[int, int]] = {}
-    bit: dict[Action, int] = {}
-    ids: set[str] = set()
-    for i, info in enumerate(infosets):
-        if info.id in ids:
-            raise GameError(f"duplicate information set id {info.id!r}")
-        ids.add(info.id)
-        for j, a in enumerate(info.actions):
-            if a in alphabet:
-                raise GameError(f"action {a!r} appears in both {alphabet[a]!r} and {info.id!r}")
-            alphabet[a] = info.id
-            sort_key[a] = (i, j)
-            bit[a] = 1 << i
-    return _Universe(alphabet, sort_key, bit)
+    def infoset_mask(self, m: int) -> int:
+        """The lowest action bit of each infoset the monomial touches."""
+        got = self._masks.get(m)
+        if got is None:
+            if m & ~self._universe:
+                raise GameError(f"monomial {m:#x} has a bit outside the universe")
+            folded = m
+            for shift, stay in self._folds:
+                folded |= (folded & stay) >> shift
+            got = folded & self._firsts
+            if got.bit_count() != m.bit_count():
+                raise GameError(f"monomial {m:#x} repeats an information set")
+            self._masks[m] = got
+        return got
+
+    def components(self, ms: frozenset[int]) -> list[frozenset[int]]:
+        """Connected components, as in `_components`, in no fixed order."""
+        groups = _connected({m: self.infoset_mask(m) for m in ms})
+        if len(groups) <= 1:
+            return [ms] if groups else []
+        return [frozenset(g) for g in groups]
+
+    def covering(self, masks: Iterable[int]) -> Optional[int]:
+        """Position of the first infoset in every infoset mask; None if
+        there is none, or no mask."""
+        common = -1
+        for m in masks:
+            common &= m
+            if not common:
+                return None
+        return None if common < 0 else self.position[common & -common]
+
+    def present(self, masks: Iterable[int]) -> list[int]:
+        """Positions, in declaration order, of the infosets in some mask."""
+        used = 0
+        for m in masks:
+            used |= m
+        out = []
+        while used:
+            low = used & -used
+            out.append(self.position[low])
+            used ^= low
+        return out
+
+    def branches(self, ms: frozenset[int], k: int) -> list[frozenset[int]]:
+        """`branches` on monomials: for each action of `infosets[k]`, in
+        declaration order, its quotient plus the residual."""
+        block, bits = self._blocks[k]
+        quotients: dict[int, list[int]] = {b: [] for b in bits}
+        residual: list[int] = []
+        for m in ms:
+            a = m & block
+            if a:
+                quotients[a].append(m ^ a)
+            else:
+                residual.append(m)
+        return [frozenset(residual + q) for q in quotients.values()]
 
 
 @dataclass(frozen=True)
@@ -70,28 +171,29 @@ class SequenceSet:
 
     sequences: frozenset[Sequence]
     infosets: tuple[InformationSet, ...]
-    # shared lookup tables, not part of the value (== and hash ignore it)
-    universe: Optional[_Universe] = field(default=None, compare=False, repr=False)
-    # each sequence's infoset bitmask (bit k: `infosets[k]`)
+    # the shared universe, not part of the value (== and hash ignore it)
+    universe: Optional[Monomials] = field(default=None, compare=False, repr=False)
+    # each sequence's infoset mask (see `Monomials`)
     masks: dict[Sequence, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.universe is None:
-            object.__setattr__(self, "universe", _universe(self.infosets))
-        get = self.universe.bit.__getitem__
+            object.__setattr__(self, "universe", Monomials(self.infosets))
+        get = self.universe.infoset_bit.__getitem__
         try:
             masks = {s: sum(map(get, s)) for s in self.sequences}
         except KeyError:
             self._reject()
         # a sum of n infoset bits has n bits set when the bits are distinct
-        # and fewer otherwise, so the totals agree iff every sequence is valid
+        # and fewer otherwise (a repeat carries), so the totals agree iff
+        # every sequence is valid
         if sum(map(int.bit_count, masks.values())) != sum(map(len, masks)):
             self._reject()
         object.__setattr__(self, "masks", masks)
 
     def _reject(self) -> NoReturn:
         """Raise for the first invalid sequence."""
-        known = self.universe.alphabet
+        known = self.universe.infoset_id
         for s in self.sequences:
             seen: set[str] = set()
             for a in s:
@@ -105,8 +207,8 @@ class SequenceSet:
                 seen.add(info)
         raise AssertionError("every sequence is valid")
 
-    def seq_key(self, s: Sequence) -> tuple[tuple[int, int], ...]:
-        return tuple(map(self.universe.sort_key.__getitem__, s))
+    def seq_key(self, s: Sequence) -> tuple[int, ...]:
+        return tuple(map(self.universe.action_bit.__getitem__, s))
 
     def sorted_sequences(self) -> list[Sequence]:
         return sorted(self.sequences, key=self.seq_key)
@@ -114,15 +216,9 @@ class SequenceSet:
     def with_sequences(self, sequences: Iterable[Sequence]) -> SequenceSet:
         return SequenceSet(frozenset(sequences), self.infosets, self.universe)
 
-    def infoset_of(self, action: Action) -> str:
-        return self.universe.alphabet[action]
-
     def present_infosets(self) -> list[InformationSet]:
         """Infosets with at least one action occurring in some sequence."""
-        used = 0
-        for m in self.masks.values():
-            used |= m
-        return [info for k, info in enumerate(self.infosets) if used >> k & 1]
+        return [self.infosets[k] for k in self.universe.present(self.masks.values())]
 
     def __len__(self) -> int:
         return len(self.sequences)
@@ -215,141 +311,20 @@ def branches(
     return [(a, frozenset(residual + q)) for a, q in quotients.items()]
 
 
-class Monomials:
-    """The integer kernel of the span searches.
-
-    Each action is one bit, the actions of an information set in
-    consecutive bits (declaration order), and a sequence is coded as the
-    OR of its action bits: its monomial.  Components, the covering
-    infoset, the present infosets and the branch step read only which
-    actions a sequence holds, never their order, so on a set of monomials
-    they are a few integer operations: the quotient on action bit A is
-    `m ^ A` for every `m` with `m & A`, and the residual is every `m`
-    with no bit of that infoset.
-
-    An infoset mask marks each information set a monomial touches by
-    that infoset's lowest action bit.  It is computed by folding every
-    action bit down to the lowest bit of its infoset, a few shifts in all
-    however long the sequence.  Each distinct monomial is checked once,
-    when its infoset mask is first computed: one action per information
-    set, and no bit outside the universe.
-    """
-
-    def __init__(self, infosets: tuple[InformationSet, ...]) -> None:
-        self.action_bit: dict[Action, int] = {}
-        self._blocks: list[tuple[int, tuple[int, ...]]] = []  # per infoset: (OR, bits)
-        self._position: dict[int, int] = {}  # an infoset's lowest bit -> its position
-        bit = 1
-        for k, info in enumerate(infosets):
-            bits = tuple(bit << j for j in range(len(info.actions)))
-            self.action_bit.update(zip(info.actions, bits))
-            self._blocks.append((sum(bits), bits))
-            self._position[bit] = k
-            bit <<= len(bits)
-        self._universe = bit - 1
-        self._firsts = sum(self._position)
-        # (shift, the bits that stay in their infoset when moved down by it),
-        # for shift = 1, 2, 4, ... below the largest action count
-        self._folds: list[tuple[int, int]] = []
-        shift = 1
-        while any(len(bits) > shift for _, bits in self._blocks):
-            stay = sum(b for _, bits in self._blocks for b in bits[shift:])
-            self._folds.append((shift, stay))
-            shift *= 2
-        self._masks: dict[int, int] = {0: 0}  # monomial -> infoset mask
-
-    def encode(self, seqs: Iterable[Sequence]) -> frozenset[int]:
-        """The monomials of a set of sequences over this universe."""
-        out = set()
-        for s in seqs:
-            m = 0
-            for a in s:
-                m |= self.action_bit[a]
-            out.add(m)
-        return frozenset(out)
-
-    def infoset_mask(self, m: int) -> int:
-        """The lowest action bit of each infoset the monomial touches."""
-        got = self._masks.get(m)
-        if got is None:
-            if m & ~self._universe:
-                raise GameError(f"monomial {m:#x} has a bit outside the universe")
-            folded = m
-            for shift, stay in self._folds:
-                folded |= (folded & stay) >> shift
-            got = folded & self._firsts
-            if got.bit_count() != m.bit_count():
-                raise GameError(f"monomial {m:#x} repeats an information set")
-            self._masks[m] = got
-        return got
-
-    def components(self, ms: frozenset[int]) -> list[frozenset[int]]:
-        """Connected components, as in `_components`, in no fixed order."""
-        groups = _connected({m: self.infoset_mask(m) for m in ms})
-        if len(groups) <= 1:
-            return [ms] if groups else []
-        return [frozenset(g) for g in groups]
-
-    def covering(self, ms: frozenset[int]) -> Optional[int]:
-        """Position of the first infoset touching every monomial, if any."""
-        if not ms:
-            return None
-        common = -1
-        for m in ms:
-            common &= self.infoset_mask(m)
-            if not common:
-                return None
-        return self._position[common & -common]
-
-    def present(self, ms: frozenset[int]) -> list[int]:
-        """Positions of the infosets with an action in some monomial."""
-        used = 0
-        for m in ms:
-            used |= self.infoset_mask(m)
-        out = []
-        while used:
-            low = used & -used
-            out.append(self._position[low])
-            used ^= low
-        return out
-
-    def branches(self, ms: frozenset[int], k: int) -> list[frozenset[int]]:
-        """`branches` on monomials: for each action of `infosets[k]`, in
-        declaration order, its quotient plus the residual."""
-        block, bits = self._blocks[k]
-        quotients: dict[int, list[int]] = {b: [] for b in bits}
-        residual: list[int] = []
-        for m in ms:
-            a = m & block
-            if a:
-                quotients[a].append(m ^ a)
-            else:
-                residual.append(m)
-        return [frozenset(residual + q) for q in quotients.values()]
-
-
 def covering_infoset(ss: SequenceSet) -> Optional[InformationSet]:
     """First infoset (declaration order) touching every sequence, if any."""
-    if not ss.sequences:
-        return None
-    common = -1
-    for m in ss.masks.values():
-        common &= m
-        if not common:
-            return None
-    return ss.infosets[(common & -common).bit_length() - 1]
+    k = ss.universe.covering(ss.masks.values())
+    return None if k is None else ss.infosets[k]
 
 
 def leading_infoset(ss: SequenceSet) -> Optional[InformationSet]:
     """The infoset whose actions start every sequence, if there is one."""
-    firsts = {s[0] for s in ss.sequences if s}
-    if not firsts or any(not s for s in ss.sequences):
+    if EPSILON in ss.sequences:
         return None
-    ids = {ss.infoset_of(a) for a in firsts}
-    if len(ids) != 1:
+    lows = {ss.universe.infoset_bit[a] for a in {s[0] for s in ss.sequences}}
+    if len(lows) != 1:
         return None
-    lead_id = ids.pop()
-    return next(i for i in ss.infosets if i.id == lead_id)
+    return ss.infosets[ss.universe.position[lows.pop()]]
 
 
 def _continuations(seqs: frozenset[Sequence], action: Action) -> frozenset[Sequence]:
@@ -423,7 +398,7 @@ def find_strongly_branching_subset(ss: SequenceSet) -> Optional[SequenceSet]:
     Deterministic: an epsilon member is preferred, then infosets are
     tried in declaration order and the first full branch wins.
     """
-
+    universe = ss.universe
     memo: dict[frozenset[Sequence], Optional[frozenset[Sequence]]] = {}
 
     def rec(seqs: frozenset[Sequence]) -> Optional[frozenset[Sequence]]:
@@ -433,12 +408,10 @@ def find_strongly_branching_subset(ss: SequenceSet) -> Optional[SequenceSet]:
             return None
         if seqs in memo:
             return memo[seqs]
-        firsts = {s[0] for s in seqs}
-        first_ids = {ss.infoset_of(a) for a in firsts}
         found: Optional[frozenset[Sequence]] = None
-        for info in ss.infosets:
-            if info.id not in first_ids:
-                continue
+        firsts = {s[0] for s in seqs}
+        for k in universe.present(map(universe.infoset_bit.__getitem__, firsts)):
+            info = ss.infosets[k]
             picked: list[Sequence] = []
             ok = True
             for a in info.actions:

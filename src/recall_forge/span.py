@@ -8,14 +8,14 @@ with no covering infoset, every information set is tried and the
 smallest candidate wins (declaration order breaks ties).
 
 The minimal-span and shuffle-depth searches run on monomials, the
-integer codes of `seqsets.Monomials`.  Every step of both recursions
-(components, the covering infoset, the present infosets, the branch
-step, dropping epsilon) reads only which actions a sequence holds, and
-the span's sequences are built as `(a,) + t` from the infosets fixed on
-the way down.  So a subproblem's answer depends only on its set of
-monomials, and sequences that differ only in action order are one
-subproblem.  The verifier and the A-loss-recall test stay on tuples: they
-read the first action of each sequence, so order matters to them.
+integer codes of the set's universe (a `seqsets.Monomials`).  Every step
+of both recursions (components, the covering infoset, the present
+infosets, the branch step, dropping epsilon) reads only which actions a
+sequence holds, and the span's sequences are built as `(a,) + t` from the
+infosets fixed on the way down.  So a subproblem's answer depends only on
+its set of monomials, and sequences that differ only in action order are
+one subproblem.  The verifier and the A-loss-recall test stay on tuples:
+they read the first action of each sequence, so order matters to them.
 
 The verifier is independent of the construction: for each original
 sequence it restricts the candidate to supersequences, divides them out,
@@ -42,7 +42,6 @@ from .model import (
 )
 from .seqsets import (
     EPSILON,
-    Monomials,
     Sequence,
     SequenceSet,
     find_strongly_branching_subset,
@@ -95,7 +94,7 @@ def _minimal_span_set(ss: SequenceSet, stats: Optional[SpanStats] = None) -> fro
     size is the sum of its branch spans' sizes; only the winner's
     sequences are built.
     """
-    kernel = Monomials(ss.infosets)
+    kernel = ss.universe
     memo: dict[frozenset[int], frozenset[Sequence]] = {}
 
     def rec(ms: frozenset[int]) -> frozenset[Sequence]:
@@ -113,10 +112,11 @@ def _minimal_span_set(ss: SequenceSet, stats: Optional[SpanStats] = None) -> fro
         if len(comps) > 1:
             result = frozenset().union(*map(rec, comps))
         else:
-            cover = kernel.covering(ms)
+            masks = list(map(kernel.infoset_mask, ms))
+            cover = kernel.covering(masks)
             best: list[tuple[Action, frozenset[Sequence]]] = []
             best_size = -1
-            for k in [cover] if cover is not None else kernel.present(ms):
+            for k in [cover] if cover is not None else kernel.present(masks):
                 spans = []  # a loop, not a comprehension: one stack frame per level
                 for a, q in zip(ss.infosets[k].actions, kernel.branches(ms, k)):
                     spans.append((a, rec(q)))
@@ -155,7 +155,7 @@ def shuffle_depth(ss: SequenceSet) -> int:
     `1 + min(max ...)` step, so the memo computes them once.  Runs on
     monomials, like the span search.
     """
-    kernel = Monomials(ss.infosets)
+    kernel = ss.universe
     memo: dict[frozenset[int], int] = {}
 
     def rec(ms: frozenset[int]) -> int:
@@ -169,12 +169,13 @@ def shuffle_depth(ss: SequenceSet) -> int:
         if len(comps) > 1:
             ans = max(map(rec, comps))
         else:
-            cover = kernel.covering(ms)
+            masks = list(map(kernel.infoset_mask, ms))
+            cover = kernel.covering(masks)
             if cover is not None and not any(map(rec, kernel.branches(ms, cover))):
                 ans = 0
             else:
                 ans = 1 + min(
-                    max(map(rec, kernel.branches(ms, k))) for k in kernel.present(ms)
+                    max(map(rec, kernel.branches(ms, k))) for k in kernel.present(masks)
                 )
         memo[ms] = ans
         return ans
@@ -244,50 +245,46 @@ def realize_sequence_set(ss: SequenceSet) -> GameStructure:
         raise GameError("cannot realize an empty sequence set")
     nodes: dict[int, Node] = {}
     counter = itertools.count()
-    owner_of = {i.id: i for i in ss.infosets}
-    index = {i.id: k for k, i in enumerate(ss.infosets)}
+    universe = ss.universe
 
     def build(seqs: frozenset[Sequence]) -> int:
         nid = next(counter)
         ends_here = EPSILON in seqs
         rest = [s for s in seqs if s != EPSILON]
-        groups: dict[str, set[Sequence]] = {}
+        groups: dict[int, set[Sequence]] = {}  # by the first infoset's lowest bit
         for s in rest:
-            groups.setdefault(ss.infoset_of(s[0]), set()).add(s)
-        ordered = sorted(groups, key=lambda iid: index[iid])
+            groups.setdefault(universe.infoset_bit[s[0]], set()).add(s)
         if not rest:
             nodes[nid] = Leaf()
             return nid
         if len(groups) == 1 and not ends_here:
-            iid = ordered[0]
-            info = owner_of[iid]
-            present = {s[0] for s in groups[iid]}
+            ((low, group),) = groups.items()
+            info = ss.infosets[universe.position[low]]
+            present = {s[0] for s in group}
             if set(info.actions) != present:
                 missing = sorted(set(info.actions) - present)
                 raise GameError(
-                    f"set is not realizable: information set {iid!r} is entered "
+                    f"set is not realizable: information set {info.id!r} is entered "
                     f"but actions {missing} never continue"
                 )
             kids = []
             for a in info.actions:
-                cont = frozenset(s[1:] for s in groups[iid] if s[0] == a)
+                cont = frozenset(s[1:] for s in group if s[0] == a)
                 kids.append((a, build(cont)))
-            nodes[nid] = PlayerNode(infoset=iid, children=tuple(kids))
+            nodes[nid] = PlayerNode(infoset=info.id, children=tuple(kids))
             return nid
         kids_ids: list[int] = []
         if ends_here:
             leaf_id = next(counter)
             nodes[leaf_id] = Leaf()
             kids_ids.append(leaf_id)
-        for iid in ordered:
-            kids_ids.append(build(frozenset(groups[iid])))
+        for low in sorted(groups):  # declaration order
+            kids_ids.append(build(frozenset(groups[low])))
         nodes[nid] = ChanceNode(children=tuple(kids_ids))
         return nid
 
     root = build(ss.sequences)
-    used = {a for s in ss.sequences for a in s}
-    infosets = tuple(i for i in ss.infosets if any(a in used for a in i.actions))
-    return GameStructure(root=root, nodes=nodes, infosets=infosets)
+    return GameStructure(root=root, nodes=nodes, infosets=tuple(ss.present_infosets()))
 
 
 def structure_from_sequences(ss: SequenceSet) -> GameStructure:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from recall_forge import cli
+from recall_forge import cli, model
 from recall_forge.cli import cli_main
 from recall_forge.docio import (
     DocumentError,
@@ -15,7 +15,7 @@ from recall_forge.docio import (
     serialize_certificate,
     serialize_game,
 )
-from recall_forge.generators import gen_pennies
+from recall_forge.generators import FamilyParams, gen_pennies, gen_random
 from recall_forge.polynomials import payoff_polynomial, poly_equal_under_constraints
 from recall_forge.seqsets import extract_histories
 from recall_forge.span import minimal_span
@@ -142,6 +142,25 @@ def test_cli_solve_from_stdin():
     assert code == 0
     assert out.splitlines()[0] == "2/3"
     assert "A: H_A" in out
+
+
+@pytest.mark.parametrize("command", ["classify", "solve", "span"])
+def test_cli_validates_each_structure_once(tmp_path, monkeypatch, command):
+    # parse_game validates the parsed structure, and the recall
+    # classification after it reads that result instead of validating again
+    path = tmp_path / "g.json"
+    path.write_text(serialize_game(gen_random(FamilyParams("random", seed=3))))
+    checked = []
+    validate = model.validate
+
+    def counting(structure):
+        checked.append(structure)
+        return validate(structure)
+
+    monkeypatch.setattr(model, "validate", counting)
+    code, _, err = run([command, str(path)])
+    assert (code, err) == (0, "")
+    assert checked and len({id(s) for s in checked}) == len(checked)
 
 
 def test_cli_gen_solve_pipeline():

@@ -186,13 +186,19 @@ def test_derived_sets_are_validated():
 
 def test_sequence_set_rejects_ambiguous_universe():
     # an action or an id that names two infosets would make the shared
-    # tables ambiguous
+    # universe ambiguous; the universe itself rejects it
+    assert isinstance(SequenceSet(seqs("a c"), PAIR).universe, Monomials)
     twice = PAIR + (InformationSet("I4", MAX, ("a", "g")),)
-    with pytest.raises(GameError, match="action 'a' appears in both 'I1' and 'I4'"):
-        SequenceSet(seqs("a c"), twice)
     same_id = PAIR + (InformationSet("I1", MAX, ("g", "h")),)
-    with pytest.raises(GameError, match="duplicate information set id 'I1'"):
-        SequenceSet(seqs("a c"), same_id)
+    cases = [
+        (twice, "action 'a' appears in both 'I1' and 'I4'"),
+        (same_id, "duplicate information set id 'I1'"),
+    ]
+    for infosets, message in cases:
+        with pytest.raises(GameError, match=message):
+            SequenceSet(seqs("a c"), infosets)
+        with pytest.raises(GameError, match=message):
+            Monomials(infosets)
 
 
 def _components_oracle(ss: SequenceSet) -> list[frozenset]:
@@ -232,6 +238,9 @@ def test_components_order_matches_sorted_buckets(ss):
 @given(sequence_sets())
 @settings(max_examples=300, deadline=None)
 def test_bitmask_lookups_match_definitions(ss):
+    # a sequence's mask holds the first action bit of each infoset it touches
+    first = {a: ss.universe.action_bit[i.actions[0]] for i in ss.infosets for a in i.actions}
+    assert ss.masks == {s: sum(first[a] for a in s) for s in ss.sequences}
     used = {a for s in ss.sequences for a in s}
     touching = [
         info for info in ss.infosets
@@ -242,6 +251,14 @@ def test_bitmask_lookups_match_definitions(ss):
     assert ss.present_infosets() == [
         info for info in ss.infosets if any(a in used for a in info.actions)
     ]
+
+
+@given(sequence_sets())
+@settings(max_examples=300, deadline=None)
+def test_sorted_sequences_follow_declaration_order(ss):
+    # the certificate order: by (infoset position, action position) per action
+    key = {a: (i, j) for i, info in enumerate(ss.infosets) for j, a in enumerate(info.actions)}
+    assert ss.sorted_sequences() == sorted(ss.sequences, key=lambda s: [key[a] for a in s])
 
 
 @given(sequence_sets())
@@ -257,12 +274,16 @@ def test_branch_outputs_are_valid_sets(ss):
 @settings(max_examples=300, deadline=None)
 def test_monomial_kernel_matches_tuple_steps(ss):
     # FIVE has three actions per infoset, so masks take two folds
-    kernel = Monomials(ss.infosets)
+    kernel = ss.universe
     ms = kernel.encode(ss.sequences)
     assert set(kernel.components(ms)) == {kernel.encode(c) for c in _components(ss)}
+    # a monomial's folded infoset mask is its sequence's table-sum mask
+    bits = kernel.action_bit
+    assert {s: kernel.infoset_mask(sum(bits[a] for a in s)) for s in ss.sequences} == ss.masks
     cover = covering_infoset(ss)
-    assert kernel.covering(ms) == (None if cover is None else ss.infosets.index(cover))
-    assert [ss.infosets[k] for k in kernel.present(ms)] == ss.present_infosets()
+    masks = [kernel.infoset_mask(m) for m in ms]
+    assert kernel.covering(masks) == (None if cover is None else ss.infosets.index(cover))
+    assert [ss.infosets[k] for k in kernel.present(masks)] == ss.present_infosets()
     for k, info in enumerate(ss.infosets):
         want = [kernel.encode(q) for _, q in branches(ss.sequences, info)]
         assert kernel.branches(ms, k) == want
@@ -272,6 +293,7 @@ def test_monomial_kernel_checks_each_monomial():
     kernel = Monomials(PAIR)
     a, b, c, d = (kernel.action_bit[x] for x in "abcd")
     assert (a, b, c, d) == (1, 2, 4, 8)
+    assert [kernel.infoset_bit[x] for x in "abcd"] == [a, a, c, c]
     # an infoset is marked by its lowest action bit
     assert kernel.infoset_mask(b | d) == a | c
     with pytest.raises(GameError, match="monomial 0x3 repeats an information set"):

@@ -16,6 +16,7 @@ from recall_forge.model import (
 )
 from recall_forge.generators import FamilyParams, gen_lowerbound, gen_pennies, gen_random
 from recall_forge.polynomials import monomial_sum, canonicalize
+from recall_forge import seqsets
 from recall_forge.seqsets import (
     SequenceSet,
     _components,
@@ -141,6 +142,22 @@ def test_pennies_iii_search_counters():
         minimal_span(ss, stats)
         assert (stats.subproblems, stats.lookups) == counters
         assert shuffle_depth(ss) == 2
+
+
+def test_searches_use_the_sets_universe(monkeypatch):
+    # the searches code monomials with the universe the set already carries
+    ss = extract_histories(gen_pennies("III", 6).structure)
+    built = []
+    init = seqsets.Monomials.__init__
+
+    def counting(self, infosets):
+        built.append(infosets)
+        init(self, infosets)
+
+    monkeypatch.setattr(seqsets.Monomials, "__init__", counting)
+    cert = minimal_span(ss)
+    assert (len(cert.span), shuffle_depth(ss)) == (24, 2)
+    assert built == []
 
 
 def _tuple_span_search(ss: SequenceSet, stats: SpanStats) -> frozenset:
@@ -350,7 +367,7 @@ def test_minimal_span_is_componentwise_additive():
 
 
 @given(st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_minimal_span_certificate_and_minimality(seed):
     rng = random.Random(seed)
     ss = random_realizable_set(rng)
