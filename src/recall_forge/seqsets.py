@@ -9,8 +9,14 @@ derived from that declaration order.
 Every set carries its universe, a `Monomials` built once from the infoset
 tuple and shared by every derived subset, and each sequence's infoset
 mask.  The covering infoset, the present infosets and the components read
-those masks, on sequence sets and in the span searches alike; the steps
-that read the order of actions stay on tuples.
+those masks, on sequence sets and in the span searches alike.
+
+The recursions that read the order of actions (the A-loss-recall test,
+strongly branching subsets and `span.realize_sequence_set`) share one
+first-action split, `_lead`: it groups a set's sequences by the infoset
+of their first action and each action by its continuations.  They recurse
+on plain frozensets of suffixes of the validated input, so no recursion
+node builds or validates a `SequenceSet`.
 """
 
 from __future__ import annotations
@@ -317,49 +323,57 @@ def covering_infoset(ss: SequenceSet) -> Optional[InformationSet]:
     return None if k is None else ss.infosets[k]
 
 
-def leading_infoset(ss: SequenceSet) -> Optional[InformationSet]:
-    """The infoset whose actions start every sequence, if there is one."""
-    if EPSILON in ss.sequences:
-        return None
-    lows = {ss.universe.infoset_bit[a] for a in {s[0] for s in ss.sequences}}
-    if len(lows) != 1:
-        return None
-    return ss.infosets[ss.universe.position[lows.pop()]]
+def _lead(
+    seqs: frozenset[Sequence], universe: Monomials
+) -> dict[int, dict[Action, frozenset[Sequence]]]:
+    """The first-action split of the recursions that read action order.
 
-
-def _continuations(seqs: frozenset[Sequence], action: Action) -> frozenset[Sequence]:
-    return frozenset(s[1:] for s in seqs if s and s[0] == action)
+    For each infoset that starts some sequence, keyed by its lowest action
+    bit: each of its actions that starts a sequence -> the continuations
+    after that action.  Epsilon starts no group.  The sequences are
+    suffixes of validated ones, so none is checked again.
+    """
+    groups: dict[int, dict[Action, list[Sequence]]] = {}
+    low = universe.infoset_bit
+    for s in seqs:
+        if s:
+            groups.setdefault(low[s[0]], {}).setdefault(s[0], []).append(s[1:])
+    return {k: {a: frozenset(c) for a, c in g.items()} for k, g in groups.items()}
 
 
 def is_alr_set(ss: SequenceSet) -> bool:
     """Recursive A-loss-recall test on a sequence set.
 
-    Base cases: the empty set and {eps} qualify.  A disconnected set
-    qualifies componentwise.  A connected set needs a common leading
-    infoset whose per-action continuations all qualify.
+    The empty set and {eps} qualify.  Otherwise the sequences starting in
+    one infoset are connected, and these groups (with epsilon on its own)
+    are the components exactly when they touch pairwise disjoint
+    infosets.  So a set qualifies iff its groups touch disjoint infosets
+    and every per-action continuation of every group qualifies.
     """
-    memo: dict[frozenset[Sequence], bool] = {}
+    universe = ss.universe
+    memo: dict[frozenset[Sequence], Optional[int]] = {}
 
-    def rec(seqs: frozenset[Sequence]) -> bool:
-        if not seqs or seqs == frozenset({EPSILON}):
-            return True
-        got = memo.get(seqs)
-        if got is not None:
-            return got
-        sub = ss.with_sequences(seqs)
-        comps = _components(sub)
-        if len(comps) > 1:
-            ans = all(rec(c) for c in comps)
-        else:
-            lead = leading_infoset(sub)
-            if lead is None:
-                ans = False
-            else:
-                ans = all(rec(_continuations(seqs, a)) for a in lead.actions)
-        memo[seqs] = ans
-        return ans
+    def rec(seqs: frozenset[Sequence]) -> Optional[int]:
+        """The lowest bits of the infosets the set touches, or None when
+        it does not qualify."""
+        if seqs in memo:
+            return memo[seqs]
+        memo[seqs] = None  # until every group qualifies
+        used = 0
+        for low, conts in _lead(seqs, universe).items():
+            group = low
+            for cont in conts.values():
+                got = rec(cont)
+                if got is None:
+                    return None
+                group |= got
+            if used & group:
+                return None
+            used |= group
+        memo[seqs] = used
+        return used
 
-    result = rec(ss.sequences)
+    result = rec(ss.sequences) is not None
     # `rec` refers to itself, so without this the memo would live on
     # until the cycle collector runs
     memo.clear()
@@ -372,24 +386,12 @@ def is_strongly_branching(ss: SequenceSet) -> bool:
 
     Equivalently (for A-loss-recall sets): the sum of the set's monomials
     collapses to the constant 1 under the per-infoset sum-to-one
-    constraints.
+    constraints.  The subset `find_strongly_branching_subset` picks is
+    strongly branching, and in a strongly branching set it is the whole
+    set.
     """
-
-    def rec(seqs: frozenset[Sequence]) -> bool:
-        if seqs == frozenset({EPSILON}):
-            return True
-        if not seqs or EPSILON in seqs:
-            return False
-        lead = leading_infoset(ss.with_sequences(seqs))
-        if lead is None:
-            return False
-        for a in lead.actions:
-            cont = _continuations(seqs, a)
-            if not cont or not rec(cont):
-                return False
-        return True
-
-    return rec(ss.sequences)
+    found = find_strongly_branching_subset(ss)
+    return found is not None and found.sequences == ss.sequences
 
 
 def find_strongly_branching_subset(ss: SequenceSet) -> Optional[SequenceSet]:
@@ -404,28 +406,22 @@ def find_strongly_branching_subset(ss: SequenceSet) -> Optional[SequenceSet]:
     def rec(seqs: frozenset[Sequence]) -> Optional[frozenset[Sequence]]:
         if EPSILON in seqs:
             return frozenset({EPSILON})
-        if not seqs:
-            return None
         if seqs in memo:
             return memo[seqs]
-        found: Optional[frozenset[Sequence]] = None
-        firsts = {s[0] for s in seqs}
-        for k in universe.present(map(universe.infoset_bit.__getitem__, firsts)):
-            info = ss.infosets[k]
+        memo[seqs] = None  # until a full branch is found
+        groups = _lead(seqs, universe)
+        for low in sorted(groups):  # declaration order
+            conts = groups[low]
             picked: list[Sequence] = []
-            ok = True
-            for a in info.actions:
-                cont = _continuations(seqs, a)
-                sub = rec(cont)
+            for a in ss.infosets[universe.position[low]].actions:
+                sub = rec(conts[a]) if a in conts else None
                 if sub is None:
-                    ok = False
                     break
                 picked.extend((a,) + t for t in sub)
-            if ok:
-                found = frozenset(picked)
+            else:
+                memo[seqs] = frozenset(picked)
                 break
-        memo[seqs] = found
-        return found
+        return memo[seqs]
 
     got = rec(ss.sequences)
     memo.clear()  # see is_alr_set

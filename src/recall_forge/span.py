@@ -14,8 +14,10 @@ infosets, the branch step, dropping epsilon) reads only which actions a
 sequence holds, and the span's sequences are built as `(a,) + t` from the
 infosets fixed on the way down.  So a subproblem's answer depends only on
 its set of monomials, and sequences that differ only in action order are
-one subproblem.  The verifier and the A-loss-recall test stay on tuples:
-they read the first action of each sequence, so order matters to them.
+one subproblem.  The verifier, the A-loss-recall test and
+`realize_sequence_set` read the first action of each sequence, so order
+matters to them: they recurse on tuples through the one first-action
+split of `seqsets`, and build no `SequenceSet` per recursion node.
 
 The verifier is independent of the construction: for each original
 sequence it restricts the candidate to supersequences, divides them out,
@@ -44,6 +46,7 @@ from .seqsets import (
     EPSILON,
     Sequence,
     SequenceSet,
+    _lead,
     find_strongly_branching_subset,
     is_alr_set,
 )
@@ -247,43 +250,35 @@ def realize_sequence_set(ss: SequenceSet) -> GameStructure:
     counter = itertools.count()
     universe = ss.universe
 
-    def build(seqs: frozenset[Sequence]) -> int:
+    def build(ends_here: bool, groups: dict[int, dict[Action, frozenset[Sequence]]]) -> int:
+        """Number the node of a set split by `_lead`, then its subtree."""
         nid = next(counter)
-        ends_here = EPSILON in seqs
-        rest = [s for s in seqs if s != EPSILON]
-        groups: dict[int, set[Sequence]] = {}  # by the first infoset's lowest bit
-        for s in rest:
-            groups.setdefault(universe.infoset_bit[s[0]], set()).add(s)
-        if not rest:
+        if not groups:
             nodes[nid] = Leaf()
-            return nid
-        if len(groups) == 1 and not ends_here:
-            ((low, group),) = groups.items()
+        elif len(groups) == 1 and not ends_here:
+            ((low, conts),) = groups.items()
             info = ss.infosets[universe.position[low]]
-            present = {s[0] for s in group}
-            if set(info.actions) != present:
-                missing = sorted(set(info.actions) - present)
+            if len(conts) != len(info.actions):
+                missing = sorted(set(info.actions) - set(conts))
                 raise GameError(
                     f"set is not realizable: information set {info.id!r} is entered "
                     f"but actions {missing} never continue"
                 )
             kids = []
             for a in info.actions:
-                cont = frozenset(s[1:] for s in group if s[0] == a)
-                kids.append((a, build(cont)))
+                kids.append((a, build(EPSILON in conts[a], _lead(conts[a], universe))))
             nodes[nid] = PlayerNode(infoset=info.id, children=tuple(kids))
-            return nid
-        kids_ids: list[int] = []
-        if ends_here:
-            leaf_id = next(counter)
-            nodes[leaf_id] = Leaf()
-            kids_ids.append(leaf_id)
-        for low in sorted(groups):  # declaration order
-            kids_ids.append(build(frozenset(groups[low])))
-        nodes[nid] = ChanceNode(children=tuple(kids_ids))
+        else:
+            kids_ids: list[int] = []
+            if ends_here:
+                kids_ids.append(next(counter))
+                nodes[kids_ids[-1]] = Leaf()
+            for low in sorted(groups):  # declaration order
+                kids_ids.append(build(False, {low: groups[low]}))
+            nodes[nid] = ChanceNode(children=tuple(kids_ids))
         return nid
 
-    root = build(ss.sequences)
+    root = build(EPSILON in ss.sequences, _lead(ss.sequences, universe))
     return GameStructure(root=root, nodes=nodes, infosets=tuple(ss.present_infosets()))
 
 
@@ -385,16 +380,11 @@ def _all_alr_sets(
     return list(all_over(frozenset(ids)))
 
 
-# per universe: (monomial -> bit, [per size: [(sequences, coverage mask)]])
+# (monomial -> bit, [per size: [(sequences, coverage mask)]])
 _OracleIndex = tuple[dict[frozenset[Action], int], list[list[tuple[frozenset[Sequence], int]]]]
-_ORACLE_CACHE: dict[tuple, _OracleIndex] = {}
 
 
 def _oracle_index(present: tuple[InformationSet, ...]) -> _OracleIndex:
-    key = tuple((i.id, i.actions) for i in present)
-    got = _ORACLE_CACHE.get(key)
-    if got is not None:
-        return got
     cap = 1
     for i in present:
         cap *= len(i.actions)
@@ -425,34 +415,43 @@ def _oracle_index(present: tuple[InformationSet, ...]) -> _OracleIndex:
         for s in seqs:
             mask |= mask_of(s)
         by_size[len(seqs)].append((seqs, mask))
-    _ORACLE_CACHE[key] = (bit_of, by_size)
-    return _ORACLE_CACHE[key]
+    return bit_of, by_size
 
 
-def minimality_oracle(ss: SequenceSet, max_infosets: int = 3, max_size: int = 8) -> int:
+class MinimalityOracle:
     """Exhaustive minimal-span size: enumerate every A-loss-recall set over
     the present infosets by increasing size and return the first size at
     which verification succeeds.
 
     Guarded to tiny universes (binary infosets only); meant purely as an
-    independent check of the minimal-span recursion.
+    independent check of the minimal-span recursion.  An oracle keeps the
+    enumeration of each universe it has seen for as long as its caller
+    keeps the oracle.
     """
-    present = tuple(ss.present_infosets())
-    if len(present) > max_infosets or len(ss) > max_size:
-        raise SizeLimitError("instance too large for the minimality oracle")
-    if any(len(i.actions) != 2 for i in present):
-        raise SizeLimitError("the minimality oracle only handles binary infosets")
 
-    bit_of, by_size = _oracle_index(present)
-    want = 0
-    for s in ss.sequences:
-        if s:
-            want |= 1 << bit_of[frozenset(s)]
-    for size in range(1, len(by_size)):
-        for cand_seqs, mask in by_size[size]:
-            if want & ~mask:
-                continue
-            cand = ss.with_sequences(cand_seqs)
-            if verify_span(ss, cand) is not None:
-                return size
-    raise GameError("no span found within the enumeration bound")
+    def __init__(self) -> None:
+        self._indexes: dict[tuple, _OracleIndex] = {}
+
+    def __call__(self, ss: SequenceSet, max_infosets: int = 3, max_size: int = 8) -> int:
+        present = tuple(ss.present_infosets())
+        if len(present) > max_infosets or len(ss) > max_size:
+            raise SizeLimitError("instance too large for the minimality oracle")
+        if any(len(i.actions) != 2 for i in present):
+            raise SizeLimitError("the minimality oracle only handles binary infosets")
+
+        key = tuple((i.id, i.actions) for i in present)
+        if key not in self._indexes:
+            self._indexes[key] = _oracle_index(present)
+        bit_of, by_size = self._indexes[key]
+        want = 0
+        for s in ss.sequences:
+            if s:
+                want |= 1 << bit_of[frozenset(s)]
+        for size in range(1, len(by_size)):
+            for cand_seqs, mask in by_size[size]:
+                if want & ~mask:
+                    continue
+                cand = ss.with_sequences(cand_seqs)
+                if verify_span(ss, cand) is not None:
+                    return size
+        raise GameError("no span found within the enumeration bound")

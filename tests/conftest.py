@@ -24,6 +24,7 @@ from recall_forge.model import (
     PlayerNode,
 )
 from recall_forge.seqsets import SequenceSet
+from recall_forge.span import MinimalityOracle
 
 
 class TreeBuilder:
@@ -83,6 +84,13 @@ def player_chain(depth: int) -> Game:
 def seqs(*words: str) -> frozenset[tuple[str, ...]]:
     """'a c|abar d' style shorthand: words are space-separated actions."""
     return frozenset(tuple(w.split()) if w else () for w in words)
+
+
+@pytest.fixture(scope="session")
+def minimality_oracle() -> MinimalityOracle:
+    """One oracle for the whole run, so each universe's enumeration is
+    built once (about 178,000 candidate sets over THREE_BINARY)."""
+    return MinimalityOracle()
 
 
 @pytest.fixture

@@ -40,7 +40,6 @@ from recall_forge.seqsets import (
 from recall_forge.shuffle import salr_bruteforce_oracle, salr_witness
 from recall_forge.span import (
     minimal_span,
-    minimality_oracle,
     shuffle_depth,
     structure_from_sequences,
     verify_span,
@@ -213,7 +212,7 @@ def test_c06_span_certificates_on_random_games():
     _check(6, f"span certificates sound on {done} random games", failures)
 
 
-def test_c07_minimality_micro():
+def test_c07_minimality_micro(minimality_oracle):
     failures = []
     rng = random.Random(20240)
     for case in range(200):

@@ -165,6 +165,86 @@ def test_find_strongly_branching_subset():
     assert find_strongly_branching_subset(SequenceSet(seqs("a"), PAIR)) is None
 
 
+def _leading_infoset(ss: SequenceSet, seqs_: frozenset):
+    """The infoset whose actions start every sequence, if there is one."""
+    if () in seqs_:
+        return None
+    leads = {info for info in ss.infosets for s in seqs_ if s[0] in info.actions}
+    return leads.pop() if len(leads) == 1 else None
+
+
+def _continuations(seqs_: frozenset, a: str) -> frozenset:
+    return frozenset(s[1:] for s in seqs_ if s and s[0] == a)
+
+
+def _alr_reference(ss: SequenceSet) -> bool:
+    """A disconnected set qualifies componentwise; a connected one needs a
+    leading infoset whose per-action continuations all qualify."""
+
+    def rec(seqs_: frozenset) -> bool:
+        if not seqs_ or seqs_ == seqs(""):
+            return True
+        comps = _components(ss.with_sequences(seqs_))
+        if len(comps) > 1:
+            return all(rec(c) for c in comps)
+        lead = _leading_infoset(ss, seqs_)
+        return lead is not None and all(rec(_continuations(seqs_, a)) for a in lead.actions)
+
+    return rec(ss.sequences)
+
+
+def _strongly_branching_reference(ss: SequenceSet) -> bool:
+    """{eps}, or a leading infoset whose every action continues into a
+    strongly branching set."""
+
+    def rec(seqs_: frozenset) -> bool:
+        if seqs_ == seqs(""):
+            return True
+        lead = _leading_infoset(ss, seqs_) if seqs_ else None
+        return lead is not None and all(
+            _continuations(seqs_, a) and rec(_continuations(seqs_, a)) for a in lead.actions
+        )
+
+    return rec(ss.sequences)
+
+
+def _strongly_branching_subset_reference(ss: SequenceSet):
+    """{eps} if present, else the first infoset in declaration order whose
+    every action continues into a set with a strongly branching subset."""
+
+    def rec(seqs_: frozenset):
+        if () in seqs_:
+            return seqs("")
+        if not seqs_:
+            return None
+        for info in ss.infosets:
+            picked = set()
+            for a in info.actions:
+                sub = rec(_continuations(seqs_, a))
+                if sub is None:
+                    break
+                picked.update((a,) + t for t in sub)
+            else:
+                return frozenset(picked)
+        return None
+
+    return rec(ss.sequences)
+
+
+@given(sequence_sets())
+@example(SequenceSet(seqs("a c", "c a"), PAIR))  # two groups over one pair of infosets
+@example(SequenceSet(seqs("a c", "a d", "b"), PAIR))
+@example(SequenceSet(seqs("", "a", "b e", "b f"), PAIR))
+@example(SequenceSet(seqs("a", "b", "c", "d"), PAIR))  # two full branches: I1 wins
+@settings(max_examples=300, deadline=None)
+def test_order_reading_recursions_match_reference(ss):
+    assert is_alr_set(ss) == _alr_reference(ss)
+    assert is_strongly_branching(ss) == _strongly_branching_reference(ss)
+    found = find_strongly_branching_subset(ss)
+    want = _strongly_branching_subset_reference(ss)
+    assert (None if found is None else found.sequences) == want
+
+
 def test_sequence_set_rejects_repeated_infoset():
     with pytest.raises(GameError):
         SequenceSet(seqs("a b"), PAIR)  # a and b are both I1 actions

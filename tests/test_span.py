@@ -33,7 +33,7 @@ from recall_forge.span import (
     _minimal_span_set,
     canonical_full_span,
     minimal_span,
-    minimality_oracle,
+    realize_sequence_set,
     shuffle_depth,
     structure_from_sequences,
     verify_span,
@@ -328,7 +328,46 @@ def test_structure_from_layered_span_shape():
     assert extract_histories(st_).sequences == wide_span_set(ss.infosets).sequences
 
 
-def test_minimality_oracle_examples():
+def test_realize_sequence_set_rejections():
+    with pytest.raises(GameError, match="cannot realize an empty sequence set"):
+        realize_sequence_set(SequenceSet(frozenset(), THREE_BINARY))
+    with pytest.raises(
+        GameError,
+        match=r"information set 'I1' is entered but actions \['b'\] never continue",
+    ):
+        realize_sequence_set(SequenceSet(seqs("a c", "a d"), THREE_BINARY))
+
+
+def test_realize_sequence_set_node_table():
+    """Preorder ids; an ending sequence and each first infoset in
+    declaration order hang under one chance node."""
+    from recall_forge.model import ChanceNode, Leaf, PlayerNode
+
+    st_ = realize_sequence_set(SequenceSet(seqs("", "a", "b"), THREE_BINARY))
+    assert (st_.root, [i.id for i in st_.infosets]) == (0, ["I1"])
+    assert st_.nodes == {
+        0: ChanceNode(children=(1, 2)),
+        1: Leaf(),
+        2: PlayerNode(infoset="I1", children=(("a", 3), ("b", 4))),
+        3: Leaf(),
+        4: Leaf(),
+    }
+    st_ = realize_sequence_set(SequenceSet(seqs("a c", "a d", "b", "c", "d"), THREE_BINARY))
+    assert (st_.root, [i.id for i in st_.infosets]) == (0, ["I1", "I2"])
+    assert st_.nodes == {
+        0: ChanceNode(children=(1, 6)),
+        1: PlayerNode(infoset="I1", children=(("a", 2), ("b", 5))),
+        2: PlayerNode(infoset="I2", children=(("c", 3), ("d", 4))),
+        3: Leaf(),
+        4: Leaf(),
+        5: Leaf(),
+        6: PlayerNode(infoset="I2", children=(("c", 7), ("d", 8))),
+        7: Leaf(),
+        8: Leaf(),
+    }
+
+
+def test_minimality_oracle_examples(minimality_oracle):
     alr = SequenceSet(seqs("a c", "a d", "b e", "b f"), THREE_BINARY)
     assert minimality_oracle(alr) == 4
     assert minimality_oracle(gen_lowerbound(2)) == 4
@@ -368,7 +407,7 @@ def test_minimal_span_is_componentwise_additive():
 
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_minimal_span_certificate_and_minimality(seed):
+def test_minimal_span_certificate_and_minimality(minimality_oracle, seed):
     rng = random.Random(seed)
     ss = random_realizable_set(rng)
     cert = minimal_span(ss)  # raises if self-verification fails
