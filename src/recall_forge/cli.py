@@ -34,6 +34,7 @@ from .seqsets import extract_histories
 from .shuffle import salr_witness
 from .solver import solve
 from .span import (
+    NotAlrCandidateError,
     minimal_span,
     realize_sequence_set,
     shuffle_depth,
@@ -228,7 +229,11 @@ def _dispatch(args, stdout, stderr) -> int:
         candidate_game = parse_game(_read(args.candidate))
         original = extract_histories(original_game.structure)
         candidate = extract_histories(candidate_game.structure)
-        cert = verify_span(original, candidate)
+        try:
+            cert = verify_span(original, candidate)
+        except NotAlrCandidateError as exc:
+            stderr.write(f"candidate does not span the original: {exc}\n")
+            return EXIT_NEGATIVE
         if cert is None:
             missing = " ".join(unspanned_sequence(original, candidate))
             stderr.write(

@@ -8,15 +8,17 @@ derived from that declaration order.
 
 Every set carries its universe, a `Monomials` built once from the infoset
 tuple and shared by every derived subset, and each sequence's infoset
-mask.  The covering infoset, the present infosets and the components read
-those masks, on sequence sets and in the span searches alike.
+mask.  The recursions that ignore the order of actions (the minimal-span
+search, the shuffle depth and shuffled-A-loss-recall detection) run on the
+monomials of that universe, through its one component step, covering
+infoset and branch step.
 
 The recursions that read the order of actions (the A-loss-recall test,
 strongly branching subsets and `span.realize_sequence_set`) share one
 first-action split, `_lead`: it groups a set's sequences by the infoset
 of their first action and each action by its continuations.  They recurse
-on plain frozensets of suffixes of the validated input, so no recursion
-node builds or validates a `SequenceSet`.
+on plain frozensets of suffixes of the validated input.  So no recursion
+node, order-free or not, builds or validates a `SequenceSet`.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ class Monomials:
         return got
 
     def components(self, ms: frozenset[int]) -> list[frozenset[int]]:
-        """Connected components, as in `_components`, in no fixed order."""
+        """Connected components, as in `components`, in no fixed order."""
         groups = _connected({m: self.infoset_mask(m) for m in ms})
         if len(groups) <= 1:
             return [ms] if groups else []
@@ -153,8 +155,13 @@ class Monomials:
         return out
 
     def branches(self, ms: frozenset[int], k: int) -> list[frozenset[int]]:
-        """`branches` on monomials: for each action of `infosets[k]`, in
-        declaration order, its quotient plus the residual."""
+        """The branch step of the order-free set recursions: fix
+        `infosets[k]`.
+
+        For each of its actions, in declaration order: the monomials that
+        hold it, with it removed, plus the residual, the monomials with no
+        bit of that infoset (empty when the infoset covers the set).
+        """
         block, bits = self._blocks[k]
         quotients: dict[int, list[int]] = {b: [] for b in bits}
         residual: list[int] = []
@@ -276,7 +283,7 @@ def _connected(masks: dict[_K, int]) -> list[list[_K]]:
     return list(buckets.values())
 
 
-def _components(ss: SequenceSet) -> list[frozenset[Sequence]]:
+def components(ss: SequenceSet) -> list[SequenceSet]:
     """Connected components; the empty sequence is always its own component.
 
     Sequences connect when their infoset masks overlap.  Components are
@@ -285,36 +292,9 @@ def _components(ss: SequenceSet) -> list[frozenset[Sequence]]:
     """
     groups = _connected(ss.masks)
     if len(groups) <= 1:
-        return [ss.sequences] if groups else []
+        return [ss] if groups else []
     ordered = sorted(groups, key=lambda b: min(map(ss.seq_key, b)))
-    return [frozenset(b) for b in ordered]
-
-
-def components(ss: SequenceSet) -> list[SequenceSet]:
-    """Partition into maximal connected components of the connection graph."""
-    return [ss.with_sequences(c) for c in _components(ss)]
-
-
-def branches(
-    seqs: frozenset[Sequence], info: InformationSet
-) -> list[tuple[Action, frozenset[Sequence]]]:
-    """The branch step of the set recursions: fix `info`.
-
-    For each action a of `info`, in declaration order: the sequences that
-    contain a, with a removed, plus the residual, the sequences sharing no
-    action with `info` (empty when `info` covers the set).
-    """
-    quotients: dict[Action, list[Sequence]] = {a: [] for a in info.actions}
-    residual: list[Sequence] = []
-    for s in seqs:
-        for k, x in enumerate(s):
-            quotient = quotients.get(x)
-            if quotient is not None:  # a sequence holds one action per infoset
-                quotient.append(s[:k] + s[k + 1 :])
-                break
-        else:
-            residual.append(s)
-    return [(a, frozenset(residual + q)) for a, q in quotients.items()]
+    return [ss.with_sequences(b) for b in ordered]
 
 
 def covering_infoset(ss: SequenceSet) -> Optional[InformationSet]:

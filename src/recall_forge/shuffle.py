@@ -8,8 +8,12 @@ per-action quotients qualify; a disconnected set qualifies componentwise.
 The witness is assembled on the way back up by fronting the chosen
 infoset's action in each branch.
 
-Distinct histories can collapse onto one witness sequence (two
-reorderings of the same multiset), so the witness may be smaller than
+None of these steps reads the order of actions, so detection runs on the
+monomials of the set's universe with the steps of the span searches:
+`Monomials.components`, `covering` and `branches`.  Each monomial gets one
+witness sequence, and each history the witness of its monomial.  So
+distinct histories can collapse onto one witness sequence (two
+reorderings of the same multiset), and the witness may be smaller than
 the input; the set of leaf monomials is preserved either way.
 """
 
@@ -19,17 +23,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import GameError, GameStructure, RecallClass, SizeLimitError, classify_recall
-from .seqsets import (
-    EPSILON,
-    Sequence,
-    SequenceSet,
-    _components,
-    branches,
-    covering_infoset,
-    extract_histories,
-    is_alr_set,
-)
+from .model import GameStructure, SizeLimitError
+from .seqsets import EPSILON, Sequence, SequenceSet, extract_histories, is_alr_set
 from .span import structure_from_sequences
 
 
@@ -46,47 +41,62 @@ def salr_witness(ss: SequenceSet) -> SalrResult:
 
     The covering infoset is always the first qualifying one in
     declaration order; any qualifying choice yields a valid witness, so
-    this is purely a determinism convention.
+    this is purely a determinism convention.  Components are visited in
+    `seq_key` order of their smallest sequence, so the failure reported is
+    the first in that order.
     """
-    failure: list[SequenceSet] = []
+    kernel = ss.universe
+    bit = kernel.action_bit
+    histories: dict[int, list[Sequence]] = {}  # monomial -> the histories over it
+    for s in ss.sequences:
+        histories.setdefault(sum(map(bit.__getitem__, s)), []).append(s)
 
-    def rec(seqs: frozenset[Sequence]) -> Optional[dict[Sequence, Sequence]]:
-        if not seqs:
-            return {}
-        if seqs == frozenset({EPSILON}):
-            return {EPSILON: EPSILON}
-        sub = ss.with_sequences(seqs)
-        comps = _components(sub)
+    def node_sequences(ms: frozenset[int], path: int) -> list[Sequence]:
+        """The sequences of the node reached by fixing the actions in `path`:
+        every branch is on a covering infoset, so each history over one of
+        the node's monomials holds all of them."""
+        return [
+            tuple(a for a in s if not bit[a] & path) for m in ms for s in histories[m | path]
+        ]
+
+    failure: Optional[tuple[frozenset[int], int]] = None
+
+    def rec(ms: frozenset[int], path: int) -> Optional[dict[int, Sequence]]:
+        """Each monomial's witness sequence, or None if the set has no
+        shuffled A-loss recall."""
+        nonlocal failure
+        if ms <= {0}:
+            return dict.fromkeys(ms, EPSILON)
+        comps = kernel.components(ms)
         if len(comps) > 1:
-            out: dict[Sequence, Sequence] = {}
+            comps.sort(key=lambda c: min(map(ss.seq_key, node_sequences(c, path))))
+            out: dict[int, Sequence] = {}
             for comp in comps:
-                got = rec(comp)
+                got = rec(comp, path)
                 if got is None:
                     return None
                 out.update(got)
             return out
-        info = covering_infoset(sub)
-        if info is None:
-            if not failure:
-                failure.append(sub)
+        k = kernel.covering(map(kernel.infoset_mask, ms))
+        if k is None:
+            failure = (ms, path)
             return None
         out = {}
-        for a, quot in branches(seqs, info):
+        for a, quot in zip(ss.infosets[k].actions, kernel.branches(ms, k)):
             if not quot:
                 continue
-            got = rec(quot)
+            got = rec(quot, path | bit[a])
             if got is None:
                 return None
-            out.update((s, (a,) + got[tuple(x for x in s if x != a)]) for s in seqs if a in s)
-        # the covering set touches every sequence, each in one action's branch
-        assert len(out) == len(seqs)
+            # the covering infoset leaves no residual: each key is m ^ bit[a]
+            out.update((m | bit[a], (a,) + w) for m, w in got.items())
         return out
 
-    mapping = rec(ss.sequences)
-    if mapping is None:
-        return SalrResult(False, None, None, failure[0] if failure else None)
-    witness = ss.with_sequences(mapping.values())
-    return SalrResult(True, witness, mapping)
+    witnesses = rec(frozenset(histories), 0)
+    if witnesses is None:
+        return SalrResult(False, None, None, ss.with_sequences(node_sequences(*failure)))
+    mapping = {s: witnesses[m] for m, group in histories.items() for s in group}
+    return SalrResult(True, ss.with_sequences(mapping.values()), mapping)
 
 
 def salr_bruteforce_oracle(ss: SequenceSet, max_size: int = 8) -> bool:
@@ -114,9 +124,6 @@ def shuffle_structure(structure: GameStructure) -> Optional[GameStructure]:
     monomials as the input.  Returns None when the input's histories do
     not have shuffled A-loss recall.
     """
-    for p in structure.players():
-        if classify_recall(structure, p) is RecallClass.ABSENTMINDED:
-            raise GameError(f"player {p!r} is absentminded")
     res = salr_witness(extract_histories(structure))
     if not res.has_salr:
         return None

@@ -8,13 +8,14 @@ with no covering infoset, every information set is tried and the
 smallest candidate wins (declaration order breaks ties).
 
 The minimal-span and shuffle-depth searches run on monomials, the
-integer codes of the set's universe (a `seqsets.Monomials`).  Every step
-of both recursions (components, the covering infoset, the present
-infosets, the branch step, dropping epsilon) reads only which actions a
-sequence holds, and the span's sequences are built as `(a,) + t` from the
-infosets fixed on the way down.  So a subproblem's answer depends only on
-its set of monomials, and sequences that differ only in action order are
-one subproblem.  The verifier, the A-loss-recall test and
+integer codes of the set's universe (a `seqsets.Monomials`), as the
+shuffle detection of `shuffle.salr_witness` does.  Every step of these
+recursions (components, the covering infoset, the present infosets, the
+branch step, dropping epsilon) reads only which actions a sequence holds,
+and the span's sequences are built as `(a,) + t` from the infosets fixed
+on the way down.  So a subproblem's answer depends only on its set of
+monomials, and sequences that differ only in action order are one
+subproblem.  The verifier, the A-loss-recall test and
 `realize_sequence_set` read the first action of each sequence, so order
 matters to them: they recurse on tuples through the one first-action
 split of `seqsets`, and build no `SequenceSet` per recursion node.
@@ -57,6 +58,10 @@ class SpanCertificate:
     original: SequenceSet
     span: SequenceSet
     combinations: dict[Sequence, frozenset[Sequence]]
+
+
+class NotAlrCandidateError(GameError):
+    """Raised when a span candidate is not an A-loss-recall set."""
 
 
 @dataclass
@@ -195,8 +200,8 @@ def verify_span(original: SequenceSet, candidate: SequenceSet) -> Optional[SpanC
     of s's actions are divided by s; a strongly branching subset of the
     quotients certifies that the matching candidates sum to the monomial
     of s.  Returns the certificate, or None if some monomial is out of
-    reach (`unspanned_sequence` names the first).  The candidate must be
-    an A-loss-recall set.
+    reach (`unspanned_sequence` names the first).  A candidate without
+    A-loss recall raises `NotAlrCandidateError`.
     """
     combos, missing = _generator_sets(original, candidate)
     if missing is not None:
@@ -217,7 +222,7 @@ def _generator_sets(
     """The generator set of each original sequence in `sorted_sequences`
     order, up to the first that has none; that sequence, or None."""
     if not is_alr_set(candidate):
-        raise GameError("candidate is not an A-loss-recall set")
+        raise NotAlrCandidateError("candidate is not an A-loss-recall set")
     combos: dict[Sequence, frozenset[Sequence]] = {}
     ordered = [(cand, frozenset(cand)) for cand in candidate.sorted_sequences()]
     for s in original.sorted_sequences():

@@ -3,7 +3,9 @@
 The demo games mirror the package's running examples: a perfect-recall
 tree, an absentminded tree, a structure that is fixable by reordering
 actions (shuffle_demo), one that needs a genuine span (span_demo), and a
-two-player game whose Min side is the shuffle_demo pattern.
+two-player game whose Min side is the shuffle_demo pattern.  The tuple
+branch step and the `sequence_sets` strategy are references and inputs
+that several test modules share.
 """
 
 from __future__ import annotations
@@ -12,10 +14,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from recall_forge.model import (
     MAX,
     MIN,
+    Action,
     ChanceNode,
     Game,
     GameStructure,
@@ -84,6 +88,37 @@ def player_chain(depth: int) -> Game:
 def seqs(*words: str) -> frozenset[tuple[str, ...]]:
     """'a c|abar d' style shorthand: words are space-separated actions."""
     return frozenset(tuple(w.split()) if w else () for w in words)
+
+
+def tuple_branches(
+    seqs_: frozenset[tuple[str, ...]], info: InformationSet
+) -> list[tuple[Action, frozenset[tuple[str, ...]]]]:
+    """The branch step on tuples of actions, the reference the tuple
+    oracles use: for each action a of `info`, in declaration order, the
+    sequences that contain a, with a removed, plus the residual, the
+    sequences sharing no action with `info`."""
+    out = []
+    for a in info.actions:
+        quotient = {tuple(x for x in s if x != a) for s in seqs_ if a in s}
+        residual = {s for s in seqs_ if not set(info.actions) & set(s)}
+        out.append((a, frozenset(quotient | residual)))
+    return out
+
+
+# five infosets, so short sequences often fall into several components
+FIVE = tuple(InformationSet(f"J{k}", MAX, (f"x{k}", f"y{k}", f"z{k}")) for k in range(5))
+
+
+@st.composite
+def sequence_sets(draw) -> SequenceSet:
+    """Up to 8 sequences over FIVE, each up to 3 actions from distinct
+    infosets in any order; the empty sequence is drawn too."""
+    out = set()
+    for _ in range(draw(st.integers(0, 8))):
+        order = draw(st.permutations(range(len(FIVE))))
+        length = draw(st.integers(0, 3))
+        out.add(tuple(draw(st.sampled_from(FIVE[k].actions)) for k in order[:length]))
+    return SequenceSet(frozenset(out), FIVE)
 
 
 @pytest.fixture(scope="session")

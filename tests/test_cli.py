@@ -216,6 +216,32 @@ def test_cli_shuffle_exit_codes(tmp_path):
     )
 
 
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_cli_shuffle_failure_is_hash_seed_free(hash_seed):
+    """The reported failing subset depends on the order components are
+    visited in, which must not follow Python's string hashing."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    cli_cmd = [sys.executable, "-m", "recall_forge.cli"]
+    doc = subprocess.run(
+        cli_cmd + ["gen", "random", "--seed", "353"],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    ).stdout
+    proc = subprocess.run(
+        cli_cmd + ["shuffle"], input=doc, capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "no s-alr (no covering information set for "
+        "{xI1_0 xI2_0, xI1_0 xI2_1, xI1_1 xI4_0, xI1_1 xI4_1, ...})\n"
+    )
+
+
 def test_cli_span_transform_pipeline(tmp_path):
     src = tmp_path / "game.json"
     cert = tmp_path / "cert.json"
@@ -257,6 +283,13 @@ def test_cli_verify_span(tmp_path):
     code, out, err = run(["verify-span", str(src), str(other)])
     assert (code, out) == (2, "")
     assert err == "candidate does not span the original: no generator set for 'H_A0 H_BH'\n"
+
+    # a candidate without A-loss recall spans nothing: a negative answer too
+    no_alr = tmp_path / "no_alr.json"
+    no_alr.write_text(serialize_game(gen_pennies("II", 3)))
+    code, out, err = run(["verify-span", str(src), str(no_alr)])
+    assert (code, out) == (2, "")
+    assert err == "candidate does not span the original: candidate is not an A-loss-recall set\n"
 
 
 def test_cli_compose(tmp_path):

@@ -12,8 +12,6 @@ from recall_forge.generators import FamilyParams, gen_pennies, gen_random
 from recall_forge.seqsets import (
     Monomials,
     SequenceSet,
-    _components,
-    branches,
     components,
     covering_infoset,
     extract_histories,
@@ -24,12 +22,15 @@ from recall_forge.seqsets import (
 from recall_forge.generators import gen_lowerbound
 
 from conftest import (
+    FIVE,
     SHUFFLE_DEMO_SET,
     SPAN_DEMO_SET,
     THREE_BINARY,
     build_shuffle_demo,
     random_realizable_set,
+    sequence_sets,
     seqs,
+    tuple_branches,
 )
 
 PAIR = (
@@ -37,22 +38,6 @@ PAIR = (
     InformationSet("I2", MAX, ("c", "d")),
     InformationSet("I3", MAX, ("e", "f")),
 )
-
-# five infosets, so short sequences often fall into several components
-FIVE = tuple(InformationSet(f"J{k}", MAX, (f"x{k}", f"y{k}", f"z{k}")) for k in range(5))
-
-
-@st.composite
-def sequence_sets(draw) -> SequenceSet:
-    """Up to 8 sequences over FIVE, each up to 3 actions from distinct
-    infosets in any order; the empty sequence is drawn too."""
-    out = set()
-    for _ in range(draw(st.integers(0, 8))):
-        order = draw(st.permutations(range(len(FIVE))))
-        length = draw(st.integers(0, 3))
-        out.add(tuple(draw(st.sampled_from(FIVE[k].actions)) for k in order[:length]))
-    return SequenceSet(frozenset(out), FIVE)
-
 
 def test_extract_histories_perfect_recall(perfect_recall_demo):
     ss = extract_histories(perfect_recall_demo.structure)
@@ -108,31 +93,33 @@ def test_is_alr_set_examples():
 
 def test_branches():
     infos = build_shuffle_demo().structure.infosets
+    kernel = Monomials(infos)
+    enc = kernel.encode
+    ms = enc(SHUFFLE_DEMO_SET)
     # one branch per action, in declaration order
-    assert [a for a, _ in branches(SHUFFLE_DEMO_SET, infos[2])] == ["a", "abar"]
-    assert [a for a, _ in branches(SHUFFLE_DEMO_SET, infos[0])] == ["b", "bbar"]
+    assert [len(kernel.branches(ms, k)) for k in range(3)] == [2, 2, 2]
+    assert kernel.branches(enc(seqs("b a", "c abar")), 2) == [enc(seqs("b")), enc(seqs("c"))]
     # each branch is the quotient on its action plus the residual
-    for info in infos:
+    for k, info in enumerate(infos):
         acts = set(info.actions)
         residual = frozenset(s for s in SHUFFLE_DEMO_SET if acts.isdisjoint(s))
-        for a, q in branches(SHUFFLE_DEMO_SET, info):
+        for a, q in zip(info.actions, kernel.branches(ms, k)):
             quotient = frozenset(
                 tuple(x for x in s if x != a) for s in SHUFFLE_DEMO_SET if a in s
             )
-            assert q == quotient | residual
+            assert q == enc(quotient | residual)
 
 
 def test_quotient_by_action():
-    infos = build_shuffle_demo().structure.infosets
+    kernel = Monomials(build_shuffle_demo().structure.infosets)
+    enc = kernel.encode
+    ms = enc(SHUFFLE_DEMO_SET)
     # I3 = {a, abar} touches every sequence: the branches are the quotients
-    assert dict(branches(SHUFFLE_DEMO_SET, infos[2]))["a"] == seqs("b", "bbar", "c", "cbar")
+    assert kernel.branches(ms, 2)[0] == enc(seqs("b", "bbar", "c", "cbar"))
     # I1 = {b, bbar} misses the c side, which rides along as the residual
     c_side = seqs("c a", "c abar", "cbar a", "cbar abar")
-    assert dict(branches(SHUFFLE_DEMO_SET, infos[0])) == {
-        "b": seqs("a", "abar") | c_side,
-        "bbar": seqs("a", "abar") | c_side,
-    }
-    assert branches(seqs("a"), infos[2]) == [("a", seqs("")), ("abar", frozenset())]
+    assert kernel.branches(ms, 0) == [enc(seqs("a", "abar") | c_side)] * 2
+    assert kernel.branches(enc(seqs("a")), 2) == [enc(seqs("")), frozenset()]
 
 
 def test_residual_without_infoset():
@@ -140,14 +127,17 @@ def test_residual_without_infoset():
     # b3 add only epsilon, since every other quotient is a level-1/2 singleton
     lb3 = gen_lowerbound(3)
     lb2 = gen_lowerbound(2)
-    l3 = next(i for i in lb3.infosets if i.id == "L3")
-    assert branches(lb3.sequences, l3) == [
-        ("a3", lb2.sequences | seqs("")),
-        ("b3", lb2.sequences | seqs("")),
+    kernel = lb3.universe
+    l3 = next(k for k, i in enumerate(lb3.infosets) if i.id == "L3")
+    assert kernel.branches(kernel.encode(lb3.sequences), l3) == [
+        kernel.encode(lb2.sequences | seqs("")),
+        kernel.encode(lb2.sequences | seqs("")),
     ]
     # a covered set has an empty residual, and the empty set stays empty
-    assert dict(branches(seqs("a c", "b d"), PAIR[0])) == {"a": seqs("c"), "b": seqs("d")}
-    assert branches(frozenset(), PAIR[0]) == [("a", frozenset()), ("b", frozenset())]
+    kernel = Monomials(PAIR)
+    enc = kernel.encode
+    assert kernel.branches(enc(seqs("a c", "b d")), 0) == [enc(seqs("c")), enc(seqs("d"))]
+    assert kernel.branches(frozenset(), 0) == [frozenset(), frozenset()]
 
 
 def test_strongly_branching_basics():
@@ -184,7 +174,7 @@ def _alr_reference(ss: SequenceSet) -> bool:
     def rec(seqs_: frozenset) -> bool:
         if not seqs_ or seqs_ == seqs(""):
             return True
-        comps = _components(ss.with_sequences(seqs_))
+        comps = [c.sequences for c in components(ss.with_sequences(seqs_))]
         if len(comps) > 1:
             return all(rec(c) for c in comps)
         lead = _leading_infoset(ss, seqs_)
@@ -312,7 +302,7 @@ def _components_oracle(ss: SequenceSet) -> list[frozenset]:
 @example(SequenceSet(seqs("x4", "y1 x2", "z0", "x3 y0"), FIVE))
 @settings(max_examples=300, deadline=None)
 def test_components_order_matches_sorted_buckets(ss):
-    assert _components(ss) == _components_oracle(ss)
+    assert [c.sequences for c in components(ss)] == _components_oracle(ss)
 
 
 @given(sequence_sets())
@@ -344,9 +334,14 @@ def test_sorted_sequences_follow_declaration_order(ss):
 @given(sequence_sets())
 @settings(max_examples=200, deadline=None)
 def test_branch_outputs_are_valid_sets(ss):
-    for info in ss.infosets:
-        for _, q in branches(ss.sequences, info):
-            assert ss.with_sequences(q).sequences == q
+    # every branch monomial is valid and divides a monomial of the set
+    kernel = ss.universe
+    ms = kernel.encode(ss.sequences)
+    for k in range(len(ss.infosets)):
+        for q in kernel.branches(ms, k):
+            for m in q:
+                kernel.infoset_mask(m)  # raises on an invalid monomial
+                assert any(m & x == m for x in ms)
 
 
 @given(sequence_sets())
@@ -356,7 +351,7 @@ def test_monomial_kernel_matches_tuple_steps(ss):
     # FIVE has three actions per infoset, so masks take two folds
     kernel = ss.universe
     ms = kernel.encode(ss.sequences)
-    assert set(kernel.components(ms)) == {kernel.encode(c) for c in _components(ss)}
+    assert set(kernel.components(ms)) == {kernel.encode(c.sequences) for c in components(ss)}
     # a monomial's folded infoset mask is its sequence's table-sum mask
     bits = kernel.action_bit
     assert {s: kernel.infoset_mask(sum(bits[a] for a in s)) for s in ss.sequences} == ss.masks
@@ -365,7 +360,7 @@ def test_monomial_kernel_matches_tuple_steps(ss):
     assert kernel.covering(masks) == (None if cover is None else ss.infosets.index(cover))
     assert [ss.infosets[k] for k in kernel.present(masks)] == ss.present_infosets()
     for k, info in enumerate(ss.infosets):
-        want = [kernel.encode(q) for _, q in branches(ss.sequences, info)]
+        want = [kernel.encode(q) for _, q in tuple_branches(ss.sequences, info)]
         assert kernel.branches(ms, k) == want
 
 
@@ -409,9 +404,12 @@ def test_components_partition_property(seed):
     assert union == ss.sequences
     assert sum(len(c) for c in comps) == len(ss)
     # quotients never retain the quotiented infoset
-    for info in THREE_BINARY:
-        for _, q in branches(ss.sequences, info):
-            assert all(not set(info.actions) & set(s) for s in q)
+    kernel = ss.universe
+    ms = kernel.encode(ss.sequences)
+    for k, info in enumerate(THREE_BINARY):
+        block = sum(kernel.action_bit[a] for a in info.actions)
+        for q in kernel.branches(ms, k):
+            assert all(not m & block for m in q)
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -3,23 +3,37 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recall_forge.model import MAX, GameError, RecallClass, classify_recall
-from recall_forge.generators import gen_pennies
+from recall_forge.generators import FamilyParams, gen_lowerbound, gen_pennies, gen_random
 from recall_forge.polynomials import leaf_monomials
-from recall_forge.seqsets import SequenceSet, extract_histories, is_alr_set
-from recall_forge.shuffle import salr_bruteforce_oracle, salr_witness, shuffle_structure
+from recall_forge.seqsets import (
+    SequenceSet,
+    components,
+    covering_infoset,
+    extract_histories,
+    is_alr_set,
+)
+from recall_forge.shuffle import (
+    SalrResult,
+    salr_bruteforce_oracle,
+    salr_witness,
+    shuffle_structure,
+)
 
 from conftest import (
+    FIVE,
     SHUFFLE_DEMO_SET,
     SHUFFLE_DEMO_WITNESS,
     SPAN_DEMO_SET,
     build_shuffle_demo,
     build_span_demo,
     random_realizable_set,
+    sequence_sets,
     seqs,
+    tuple_branches,
 )
 
 
@@ -108,3 +122,103 @@ def test_witness_agrees_with_bruteforce_oracle(seed):
         assert {frozenset(s) for s in ss.sequences} == {
             frozenset(s) for s in res.witness.sequences
         }
+
+
+def _tuple_salr_witness(ss: SequenceSet) -> SalrResult:
+    """`salr_witness` on tuples of actions, as it ran before the monomial
+    kernel: a `SequenceSet` at every node, components in `components`
+    order and the tuple branch step."""
+    failure = []
+
+    def rec(seqs_: frozenset):
+        if not seqs_:
+            return {}
+        if seqs_ == seqs(""):
+            return {(): ()}
+        sub = ss.with_sequences(seqs_)
+        comps = components(sub)
+        if len(comps) > 1:
+            out = {}
+            for comp in comps:
+                got = rec(comp.sequences)
+                if got is None:
+                    return None
+                out.update(got)
+            return out
+        info = covering_infoset(sub)
+        if info is None:
+            failure.append(sub)
+            return None
+        out = {}
+        for a, quot in tuple_branches(seqs_, info):
+            if not quot:
+                continue
+            got = rec(quot)
+            if got is None:
+                return None
+            out.update((s, (a,) + got[tuple(x for x in s if x != a)]) for s in seqs_ if a in s)
+        return out
+
+    mapping = rec(ss.sequences)
+    if mapping is None:
+        return SalrResult(False, None, None, failure[0])
+    return SalrResult(True, ss.with_sequences(mapping.values()), mapping)
+
+
+def _assert_same_answer(ss: SequenceSet) -> None:
+    got, want = salr_witness(ss), _tuple_salr_witness(ss)
+    assert got.has_salr == want.has_salr
+    assert got.witness == want.witness
+    assert got.permutation_map == want.permutation_map
+    if want.failure is None:
+        assert got.failure is None
+    else:
+        assert got.failure.sequences == want.failure.sequences
+
+
+def test_salr_witness_matches_tuple_recursion():
+    """Same verdict, witness, permutation map and failure as the tuple
+    recursion.  The failure depends on the order components are visited
+    in: random seed 353 (one player, depth 4, branching 3) reports a
+    different failing subset when they are taken in the kernel's order."""
+    cases = [
+        extract_histories(gen_pennies(variant, n).structure)
+        for variant in ("I", "II", "III")
+        for n in range(2, 9)
+    ]
+    cases += [gen_lowerbound(n) for n in range(1, 8)]
+    for seed in range(1, 400):
+        for players in (1, 2):
+            for depth, branching in ((4, 3), (5, 2), (6, 3)):
+                params = FamilyParams(
+                    family="random", seed=seed, depth=depth, branching=branching, players=players
+                )
+                cases.append(extract_histories(gen_random(params).structure))
+    assert len(cases) == 2422  # 21 pennies, 7 lowerbound, 2,394 random
+    for ss in cases:
+        _assert_same_answer(ss)
+
+
+@given(sequence_sets())
+@example(SequenceSet(seqs("", "x0 x1", "x1 x0", "y2"), FIVE))
+@settings(max_examples=300, deadline=None)
+def test_salr_witness_matches_tuple_recursion_on_drawn_sets(ss):
+    _assert_same_answer(ss)
+
+
+def test_salr_witness_builds_one_sequence_set(monkeypatch):
+    # the recursion runs on monomials: the witness is the only set built
+    params = FamilyParams(family="random", seed=155, depth=6, branching=3)
+    ss = extract_histories(gen_random(params).structure)
+    assert len(ss) == 149
+    built = []
+    post_init = SequenceSet.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SequenceSet, "__post_init__", counting)
+    res = salr_witness(ss)
+    assert res.has_salr
+    assert len(built) == 1 and built[0] is res.witness

@@ -19,8 +19,6 @@ from recall_forge.polynomials import monomial_sum, canonicalize
 from recall_forge import seqsets
 from recall_forge.seqsets import (
     SequenceSet,
-    _components,
-    branches,
     components,
     covering_infoset,
     extract_histories,
@@ -48,6 +46,7 @@ from conftest import (
     build_span_demo,
     random_realizable_set,
     seqs,
+    tuple_branches,
     wide_span_set,
 )
 
@@ -175,14 +174,14 @@ def _tuple_span_search(ss: SequenceSet, stats: SpanStats) -> frozenset:
             return memo[seqs_]
         stats.subproblems += 1
         sub = ss.with_sequences(seqs_)
-        comps = _components(sub)
+        comps = [c.sequences for c in components(sub)]
         if len(comps) > 1:
             result = frozenset().union(*(rec(c) for c in comps))
         else:
             cover = covering_infoset(sub)
             tried = [cover] if cover is not None else sub.present_infosets()
             candidates = [
-                frozenset((a,) + t for a, q in branches(seqs_, info) for t in rec(q))
+                frozenset((a,) + t for a, q in tuple_branches(seqs_, info) for t in rec(q))
                 for info in tried
             ]
             result = min(candidates, key=len)
@@ -204,16 +203,16 @@ def _tuple_shuffle_depth(ss: SequenceSet) -> int:
         if seqs_ in memo:
             return memo[seqs_]
         sub = ss.with_sequences(seqs_)
-        comps = _components(sub)
+        comps = [c.sequences for c in components(sub)]
         if len(comps) > 1:
             ans = max(rec(c) for c in comps)
         else:
             cover = covering_infoset(sub)
-            if cover is not None and all(rec(q) == 0 for _, q in branches(seqs_, cover)):
+            if cover is not None and all(rec(q) == 0 for _, q in tuple_branches(seqs_, cover)):
                 ans = 0
             else:
                 ans = 1 + min(
-                    max(rec(q) for _, q in branches(seqs_, info))
+                    max(rec(q) for _, q in tuple_branches(seqs_, info))
                     for info in sub.present_infosets()
                 )
         memo[seqs_] = ans
@@ -452,7 +451,6 @@ def test_strongly_branching_iff_sum_collapses_to_one():
 def _sd_oracle(ss: SequenceSet) -> int:
     """Definitional shuffle depth, with the permutation oracle deciding
     the base case; only usable on tiny sets."""
-    from recall_forge.seqsets import branches
     from recall_forge.shuffle import salr_bruteforce_oracle
 
     seqs_ = ss.sequences
@@ -469,7 +467,7 @@ def _sd_oracle(ss: SequenceSet) -> int:
     best = None
     for info in sub.present_infosets():
         worst = 0
-        for _, nxt in branches(seqs_, info):
+        for _, nxt in tuple_branches(seqs_, info):
             worst = max(worst, _sd_oracle(sub.with_sequences(nxt)))
         if best is None or worst < best:
             best = worst
