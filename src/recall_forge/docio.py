@@ -3,9 +3,11 @@
 Games are JSON documents: a version tag, the player list, the information
 sets (id, owner, ordered actions), and a nested node tree.  Probabilities
 and payoffs are strings, either an integer or "num/den", so exact
-rationals survive serialization.  Parsing normalizes chance chains
-(chance children of chance nodes are folded into the parent), after
-which serialize/parse round-trips are byte-identical.
+rationals survive serialization.  The reader folds chance chains while
+it reads the document: the children of a chance child join the parent's
+distribution, scaled by the child's probability.  Parsed games therefore
+have no chance-to-chance edge, and serialize/parse round-trips are
+byte-identical.
 
 Certificates list the original sequences, the span sequences, and the
 coefficient-1 generator subset for each original sequence.
@@ -29,7 +31,6 @@ from .model import (
     Node,
     NodeId,
     PlayerNode,
-    normalize_chance,
     validate_game,
 )
 from .seqsets import Sequence, SequenceSet
@@ -103,7 +104,8 @@ def _load_json(text: str) -> Any:
 
 
 def parse_game(text: str) -> Game:
-    """Parse, normalize, and validate a game document."""
+    """Parse and validate a game document, folding chance chains as they
+    are read."""
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise DocumentError("top level must be an object")
@@ -142,15 +144,10 @@ def parse_game(text: str) -> Game:
             nodes[nid] = Leaf()
             utility[nid] = _parse_rational(raw.get("payoff"), f"{where}.payoff")
         elif kind == "chance":
-            kids_raw = _children(raw, where)
             nodes[nid] = ChanceNode(())
-            probs = []
-            kids = []
-            for j, kid in enumerate(kids_raw):
-                probs.append(_parse_rational(kid.get("prob"), f"{where}.children[{j}].prob"))
-                kids.append(walk(kid.get("node"), f"{where}.children[{j}].node"))
-            nodes[nid] = ChanceNode(tuple(kids))
-            chance[nid] = tuple(probs)
+            pairs = chance_pairs(raw, where)
+            nodes[nid] = ChanceNode(tuple(c for _, c in pairs))
+            chance[nid] = tuple(p for p, _ in pairs)
         elif kind == "player":
             if "infoset" not in raw:
                 raise DocumentError(f"{where}: missing 'infoset'")
@@ -167,9 +164,24 @@ def parse_game(text: str) -> Game:
             raise DocumentError(f"{where}: unknown kind {kind!r}")
         return nid
 
+    def chance_pairs(raw: dict, where: str) -> list[tuple[Fraction, NodeId]]:
+        """The (probability, child) pairs of a chance object.  A chance
+        child is folded in: it takes its preorder number but stores no
+        node, and its own pairs join the list, scaled by its probability."""
+        pairs = []
+        for j, kid in enumerate(_children(raw, where)):
+            p = _parse_rational(kid.get("prob"), f"{where}.children[{j}].prob")
+            node, at = kid.get("node"), f"{where}.children[{j}].node"
+            if isinstance(node, dict) and node.get("kind") == "chance":
+                counter[0] += 1
+                pairs.extend((p * q, c) for q, c in chance_pairs(node, at))
+            else:
+                pairs.append((p, walk(node, at)))
+        return pairs
+
     root = walk(doc.get("root"), "root")
     structure = GameStructure(root=root, nodes=nodes, infosets=tuple(infosets))
-    game = normalize_chance(Game(structure=structure, chance=chance, utility=utility))
+    game = Game(structure=structure, chance=chance, utility=utility)
     problems = validate_game(game)
     if problems:
         raise DocumentError("; ".join(problems))
@@ -291,7 +303,7 @@ def parse_certificate(text: str) -> SpanCertificate:
             for k, r in enumerate(doc["infosets"])
         )
         original = SequenceSet(_sequences(doc["original"], "original"), infosets)
-        span = SequenceSet(_sequences(doc["span"], "span"), infosets)
+        span = original.with_sequences(_sequences(doc["span"], "span"))
         combos: dict[Sequence, frozenset[Sequence]] = {}
         for k, row in enumerate(doc["combinations"]):
             where = f"combinations[{k}]"

@@ -351,61 +351,3 @@ def _classify(structure: GameStructure, player: str) -> RecallClass:
             if act_to_info[h[k]] != act_to_info[g[k]]:
                 return RecallClass.NAM_NOT_ALR
     return RecallClass.ALR_NOT_PFR
-
-
-def normalize_chance(game: Game) -> Game:
-    """Absorb chance children of chance nodes into the parent distribution.
-
-    The result has no chance-to-chance edge and the same chance weight at
-    every leaf, hence the same payoff polynomial.
-    """
-    s = game.structure
-    chance: dict[NodeId, tuple[Fraction, ...]] = dict(game.chance)
-    nodes: dict[NodeId, Node] = dict(s.nodes)
-
-    def flatten(nid: NodeId) -> list[tuple[Fraction, NodeId]]:
-        node = nodes[nid]
-        assert isinstance(node, ChanceNode)
-        out: list[tuple[Fraction, NodeId]] = []
-        for p, c in zip(chance[nid], node.children):
-            if isinstance(nodes[c], ChanceNode):
-                out.extend((p * q, gc) for q, gc in flatten(c))
-            else:
-                out.append((p, c))
-        return out
-
-    changed = False
-    for nid in list(s.preorder()):
-        node = nodes.get(nid)
-        if node is None:
-            continue  # absorbed by an ancestor already
-        if isinstance(node, ChanceNode) and any(
-            isinstance(nodes[c], ChanceNode) for c in node.children
-        ):
-            flat = flatten(nid)
-            dropped = set(node.children) - {c for _, c in flat}
-            nodes[nid] = ChanceNode(tuple(c for _, c in flat))
-            chance[nid] = tuple(p for p, _ in flat)
-            for d in dropped | {
-                c for c in node.children if isinstance(nodes[c], ChanceNode)
-            }:
-                nodes.pop(d, None)
-                chance.pop(d, None)
-            changed = True
-    if not changed:
-        return game
-    reachable = set()
-    stack = [s.root]
-    while stack:
-        nid = stack.pop()
-        reachable.add(nid)
-        node = nodes[nid]
-        if isinstance(node, ChanceNode):
-            stack.extend(node.children)
-        elif isinstance(node, PlayerNode):
-            stack.extend(c for _, c in node.children)
-    nodes = {nid: n for nid, n in nodes.items() if nid in reachable}
-    chance = {nid: p for nid, p in chance.items() if nid in reachable}
-    structure = GameStructure(root=s.root, nodes=nodes, infosets=s.infosets)
-    utility = {nid: u for nid, u in game.utility.items() if nid in reachable}
-    return Game(structure=structure, chance=chance, utility=utility)

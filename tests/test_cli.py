@@ -134,6 +134,7 @@ def test_certificate_round_trip():
     assert back.original.sequences == cert.original.sequences
     assert back.span.sequences == cert.span.sequences
     assert back.combinations == cert.combinations
+    assert back.span.universe is back.original.universe
 
 
 def test_cli_solve_from_stdin():

@@ -14,7 +14,6 @@ from recall_forge.model import (
     RecallClass,
     classify_recall,
     history,
-    normalize_chance,
     validate,
     validate_game,
 )
@@ -123,33 +122,6 @@ def test_prefix_history_breaks_alr():
         [InformationSet("I1", MAX, ("a", "b")), InformationSet("I2", MAX, ("c", "d"))],
     )
     assert classify_recall(game.structure, MAX) is RecallClass.NAM_NOT_ALR
-
-
-def test_normalize_chance_folds_chains():
-    b = TreeBuilder()
-    l1, l2, l3 = b.leaf(1), b.leaf(2), b.leaf(3)
-    inner = b.chance_node([(Fraction(1, 3), l1), (Fraction(2, 3), l2)])
-    root = b.chance_node([(Fraction(1, 2), inner), (Fraction(1, 2), l3)])
-    game = b.game(root, [])
-    flat = normalize_chance(game)
-    node = flat.structure.nodes[flat.structure.root]
-    assert isinstance(node, ChanceNode)
-    assert len(node.children) == 3
-    assert flat.chance[flat.structure.root] == (
-        Fraction(1, 6),
-        Fraction(1, 3),
-        Fraction(1, 2),
-    )
-    assert all(
-        not isinstance(flat.structure.nodes[c], ChanceNode) for c in node.children
-    )
-    # leaf weights unchanged
-    weights = {flat.utility[l]: flat.chance_weight(l) for l in flat.structure.leaves()}
-    assert weights == {
-        Fraction(1): Fraction(1, 6),
-        Fraction(2): Fraction(1, 3),
-        Fraction(3): Fraction(1, 2),
-    }
 
 
 def test_validate_game_bad_distribution():

@@ -1,12 +1,15 @@
 """Smoke tests: the scripts under scripts/ run against the current package,
-and the benchmark tracer finds every function it wraps."""
+the benchmark tracer finds every function it wraps, and every public
+definition of the package is used somewhere."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,3 +46,44 @@ def test_tracer_targets_exist(monkeypatch):
         if not hasattr(importlib.import_module(f"{layertrace.PACKAGE}.{module}"), name)
     ]
     assert missing == []
+
+
+def _names(tree):
+    """Every name `tree` refers to: names, attributes, imported names and
+    identifier strings (`__all__` entries, the tracer's `TARGETS`)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            yield node.value
+
+
+def test_every_public_definition_is_used():
+    # read with `ast` only: nothing under perfbench/ is imported
+    trees = {
+        path: ast.parse(path.read_text(), str(path))
+        for folder in ("src", "tests", "perfbench", "scripts")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    }
+    used = Counter()
+    for tree in trees.values():
+        used.update(_names(tree))
+    definitions = [
+        (path, node)
+        for path, tree in trees.items()
+        if path.parent == ROOT / "src" / "recall_forge"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    # a use inside the definition itself, such as a recursive call, does not count
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path, node in definitions
+        if used[node.name] == Counter(_names(node))[node.name]
+    ]
+    assert definitions
+    assert unused == []

@@ -491,3 +491,34 @@ def test_full_span_always_verifies():
         cert = verify_span(ss, full)
         assert cert is not None
         assert len(minimal_span(ss).span) <= len(full)
+
+
+def _premise_corpus():
+    yield from (gen_lowerbound(n) for n in range(1, 8))
+    for variant in ("I", "II", "III"):
+        yield from (extract_histories(gen_pennies(variant, n).structure) for n in range(2, 9))
+    for seed in range(1, 300):
+        game = gen_random(FamilyParams(family="random", seed=seed, depth=4, branching=3))
+        strategies = 1
+        for info in game.structure.infosets:
+            strategies *= len(info.actions)
+        if strategies <= 2**12:
+            yield extract_histories(game.structure)
+
+
+def test_span_quotient_sets_have_alr():
+    # the premise of a certificate check on monomials: for each original
+    # sequence s, the span sequences holding s, with s's actions removed,
+    # form an A-loss-recall set
+    sets = quotients = 0
+    for ss in _premise_corpus():
+        span = minimal_span(ss).span
+        for s in ss.sequences:
+            acts = set(s)
+            quotient = span.with_sequences(
+                tuple(a for a in c if a not in acts) for c in span.sequences if acts <= set(c)
+            )
+            assert is_alr_set(quotient), (ss.sorted_sequences()[:3], s)
+            quotients += 1
+        sets += 1
+    assert (sets, quotients) == (291, 4405)
