@@ -35,10 +35,10 @@ from .shuffle import salr_witness
 from .solver import solve
 from .span import (
     NotAlrCandidateError,
+    UnspannedSequenceError,
     minimal_span,
     realize_sequence_set,
     shuffle_depth,
-    unspanned_sequence,
     verify_span,
 )
 from .transform import compose_two_player, transfer_payoffs
@@ -230,15 +230,9 @@ def _dispatch(args, stdout, stderr) -> int:
         original = extract_histories(original_game.structure)
         candidate = extract_histories(candidate_game.structure)
         try:
-            cert = verify_span(original, candidate)
-        except NotAlrCandidateError as exc:
+            cert = verify_span(original, candidate, strict=True)
+        except (NotAlrCandidateError, UnspannedSequenceError) as exc:
             stderr.write(f"candidate does not span the original: {exc}\n")
-            return EXIT_NEGATIVE
-        if cert is None:
-            missing = " ".join(unspanned_sequence(original, candidate))
-            stderr.write(
-                f"candidate does not span the original: no generator set for {missing!r}\n"
-            )
             return EXIT_NEGATIVE
         stdout.write(serialize_certificate(cert))
         return EXIT_OK

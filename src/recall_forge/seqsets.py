@@ -24,7 +24,7 @@ node, order-free or not, builds or validates a `SequenceSet`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NoReturn, Optional, TypeVar
+from typing import Callable, Iterable, NoReturn, Optional, TypeVar
 
 from .model import (
     Action,
@@ -378,10 +378,30 @@ def find_strongly_branching_subset(ss: SequenceSet) -> Optional[SequenceSet]:
     """A strongly branching subset of the set, or None.
 
     Deterministic: an epsilon member is preferred, then infosets are
-    tried in declaration order and the first full branch wins.
+    tried in declaration order and the first full branch wins.  The
+    recursion is `_branching_search`, which `span.verify_span` runs too.
     """
-    universe = ss.universe
     memo: dict[frozenset[Sequence], Optional[frozenset[Sequence]]] = {}
+    got = _branching_search(ss.infosets, ss.universe, memo)(ss.sequences)
+    memo.clear()  # see is_alr_set
+    if got is None:
+        return None
+    return ss.with_sequences(got)
+
+
+def _branching_search(
+    infosets: tuple[InformationSet, ...],
+    universe: Monomials,
+    memo: dict[frozenset[Sequence], Optional[frozenset[Sequence]]],
+) -> Callable[[frozenset[Sequence]], Optional[frozenset[Sequence]]]:
+    """The strongly-branching recursion over one universe.
+
+    The returned function maps a set of subsequences of validated
+    sequences to the strongly branching subset that
+    `find_strongly_branching_subset` picks, or None.  The answer depends
+    only on the set, so every set searched with one `memo` shares its
+    answers; the caller clears the memo when done.
+    """
 
     def rec(seqs: frozenset[Sequence]) -> Optional[frozenset[Sequence]]:
         if EPSILON in seqs:
@@ -393,7 +413,7 @@ def find_strongly_branching_subset(ss: SequenceSet) -> Optional[SequenceSet]:
         for low in sorted(groups):  # declaration order
             conts = groups[low]
             picked: list[Sequence] = []
-            for a in ss.infosets[universe.position[low]].actions:
+            for a in infosets[universe.position[low]].actions:
                 sub = rec(conts[a]) if a in conts else None
                 if sub is None:
                     break
@@ -403,8 +423,4 @@ def find_strongly_branching_subset(ss: SequenceSet) -> Optional[SequenceSet]:
                 break
         return memo[seqs]
 
-    got = rec(ss.sequences)
-    memo.clear()  # see is_alr_set
-    if got is None:
-        return None
-    return ss.with_sequences(got)
+    return rec

@@ -21,9 +21,12 @@ matters to them: they recurse on tuples through the one first-action
 split of `seqsets`, and build no `SequenceSet` per recursion node.
 
 The verifier is independent of the construction: for each original
-sequence it restricts the candidate to supersequences, divides them out,
-and searches for a strongly branching subset.  Certificates store those
-subsets, so payoff transfer can replay them without re-deriving anything.
+sequence s it finds the candidate's supersequences of s by a bit test on
+the candidate's monomials, divides s out of them, and searches the
+quotients for a strongly branching subset with the recursion of
+`seqsets.find_strongly_branching_subset`, whose memo one verification
+shares across every s.  Certificates store those subsets, so payoff
+transfer can replay them without re-deriving anything.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ from .seqsets import (
     EPSILON,
     Sequence,
     SequenceSet,
+    _branching_search,
     _lead,
-    find_strongly_branching_subset,
     is_alr_set,
 )
 
@@ -62,6 +65,15 @@ class SpanCertificate:
 
 class NotAlrCandidateError(GameError):
     """Raised when a span candidate is not an A-loss-recall set."""
+
+
+class UnspannedSequenceError(GameError):
+    """Raised by a strict `verify_span` for the first original sequence
+    that the candidate cannot generate."""
+
+    def __init__(self, sequence: Sequence) -> None:
+        super().__init__(f"no generator set for {' '.join(sequence)!r}")
+        self.sequence = sequence
 
 
 @dataclass
@@ -193,52 +205,67 @@ def shuffle_depth(ss: SequenceSet) -> int:
     return result
 
 
-def verify_span(original: SequenceSet, candidate: SequenceSet) -> Optional[SpanCertificate]:
+def verify_span(
+    original: SequenceSet, candidate: SequenceSet, *, strict: bool = False
+) -> Optional[SpanCertificate]:
     """Check that the candidate generates every original monomial.
 
     For each original sequence s, the candidate sequences containing all
     of s's actions are divided by s; a strongly branching subset of the
     quotients certifies that the matching candidates sum to the monomial
     of s.  Returns the certificate, or None if some monomial is out of
-    reach (`unspanned_sequence` names the first).  A candidate without
-    A-loss recall raises `NotAlrCandidateError`.
+    reach; with `strict`, that answer raises `UnspannedSequenceError`
+    naming the first such sequence instead.  A candidate without A-loss
+    recall raises `NotAlrCandidateError`.
     """
     combos, missing = _generator_sets(original, candidate)
-    if missing is not None:
-        return None
-    return SpanCertificate(original=original, span=candidate, combinations=combos)
-
-
-def unspanned_sequence(original: SequenceSet, candidate: SequenceSet) -> Optional[Sequence]:
-    """The first original sequence, in `sorted_sequences` order, with no
-    strongly branching generator set in the candidate, or None when the
-    candidate spans the original."""
-    return _generator_sets(original, candidate)[1]
+    if missing is None:
+        return SpanCertificate(original=original, span=candidate, combinations=combos)
+    if strict:
+        raise UnspannedSequenceError(missing)
+    return None
 
 
 def _generator_sets(
     original: SequenceSet, candidate: SequenceSet
 ) -> tuple[dict[Sequence, frozenset[Sequence]], Optional[Sequence]]:
     """The generator set of each original sequence in `sorted_sequences`
-    order, up to the first that has none; that sequence, or None."""
+    order, up to the first that has none; that sequence, or None.
+
+    Runs on the candidate's universe: a candidate sequence holds every
+    action of s exactly when its monomial holds s's monomial, so only
+    those candidates are divided by s.  When two give the same quotient,
+    the first in sort order stands for it.  An action the candidate's
+    universe lacks leaves s without a generator set.  The quotients are
+    subsequences of the validated candidate's sequences, so the strongly
+    branching search takes them as plain frozensets, with one memo for
+    the whole call.
+    """
     if not is_alr_set(candidate):
         raise NotAlrCandidateError("candidate is not an A-loss-recall set")
+    bit = candidate.universe.action_bit
+    coded = [(sum(map(bit.__getitem__, c)), c) for c in candidate.sorted_sequences()]
+    memo: dict[frozenset[Sequence], Optional[frozenset[Sequence]]] = {}
+    branching = _branching_search(candidate.infosets, candidate.universe, memo)
     combos: dict[Sequence, frozenset[Sequence]] = {}
-    ordered = [(cand, frozenset(cand)) for cand in candidate.sorted_sequences()]
+    missing: Optional[Sequence] = None
     for s in original.sorted_sequences():
-        needed = set(s)
-        quot_source: dict[Sequence, Sequence] = {}
-        for cand, acts in ordered:
-            if needed <= acts:
-                q = tuple(a for a in cand if a not in needed)
-                quot_source.setdefault(q, cand)
-        sb = find_strongly_branching_subset(
-            candidate.with_sequences(quot_source.keys())
-        )
-        if sb is None:
-            return combos, s
-        combos[s] = frozenset(quot_source[q] for q in sb.sequences)
-    return combos, None
+        if not all(map(bit.__contains__, s)):
+            missing = s
+            break
+        m = sum(map(bit.__getitem__, s))  # distinct actions, so distinct bits
+        held = frozenset(s).__contains__
+        source: dict[Sequence, Sequence] = {}
+        for cm, c in coded:
+            if cm & m == m:
+                source.setdefault(tuple(itertools.filterfalse(held, c)), c)
+        found = branching(frozenset(source))
+        if found is None:
+            missing = s
+            break
+        combos[s] = frozenset(map(source.__getitem__, found))
+    memo.clear()  # see seqsets.is_alr_set
+    return combos, missing
 
 
 def realize_sequence_set(ss: SequenceSet) -> GameStructure:

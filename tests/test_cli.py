@@ -293,6 +293,29 @@ def test_cli_verify_span(tmp_path):
     assert err == "candidate does not span the original: candidate is not an A-loss-recall set\n"
 
 
+def test_cli_verify_span_searches_once(tmp_path, monkeypatch):
+    # a negative answer names the unspanned sequence from the one search
+    # that found it
+    from recall_forge import span
+
+    searches = []
+    search = span._generator_sets
+
+    def counting(original, candidate):
+        searches.append(len(original))
+        return search(original, candidate)
+
+    monkeypatch.setattr(span, "_generator_sets", counting)
+    src = tmp_path / "game.json"
+    other = tmp_path / "other.json"
+    src.write_text(serialize_game(gen_pennies("III", 3)))
+    other.write_text(serialize_game(gen_pennies("I", 3)))
+    code, out, err = run(["verify-span", str(src), str(other)])
+    assert (code, out) == (2, "")
+    assert err == "candidate does not span the original: no generator set for 'H_A0 H_BH'\n"
+    assert len(searches) == 1
+
+
 def test_cli_compose(tmp_path):
     from conftest import build_two_player_demo
     from recall_forge.model import MAX, MIN

@@ -22,12 +22,16 @@ from recall_forge.seqsets import (
     components,
     covering_infoset,
     extract_histories,
+    find_strongly_branching_subset,
     is_alr_set,
     is_strongly_branching,
 )
 from recall_forge.shuffle import salr_witness
 from recall_forge.span import (
+    NotAlrCandidateError,
     SpanStats,
+    UnspannedSequenceError,
+    _generator_sets,
     _minimal_span_set,
     canonical_full_span,
     minimal_span,
@@ -221,6 +225,27 @@ def _tuple_shuffle_depth(ss: SequenceSet) -> int:
     return rec(ss.sequences)
 
 
+def _random_history_sets() -> list[SequenceSet]:
+    """The history sets of random games seeded 1..60 with the acceptance
+    suite's parameters, skipping absentminded games and those with more
+    than 2**12 pure strategies (seed 59 has 8,957,952)."""
+    out = []
+    for seed in range(1, 61):
+        game = gen_random(
+            FamilyParams(family="random", seed=seed, depth=2 + seed % 5, branching=2 + seed % 2)
+        )
+        strategies = 1
+        for info in game.structure.infosets:
+            strategies *= len(info.actions)
+        if strategies > 2**12:
+            continue
+        try:
+            out.append(extract_histories(game.structure))
+        except GameError:  # absentminded
+            pass
+    return out
+
+
 def test_monomial_search_matches_tuple_search():
     """The monomial kernel gives the tuple search's span, SpanStats and
     shuffle depth; the last set holds `b a` and `a b`, one monomial."""
@@ -230,19 +255,7 @@ def test_monomial_search_matches_tuple_search():
         for n in range(2, 11)
     ]
     cases += [gen_lowerbound(n) for n in range(1, 8)]
-    for seed in range(1, 61):
-        game = gen_random(
-            FamilyParams(family="random", seed=seed, depth=2 + seed % 5, branching=2 + seed % 2)
-        )
-        strategies = 1
-        for info in game.structure.infosets:
-            strategies *= len(info.actions)
-        if strategies > 2**12:  # the acceptance suite's bound; seed 59 has 8,957,952
-            continue
-        try:
-            cases.append(extract_histories(game.structure))
-        except GameError:  # absentminded
-            pass
+    cases += _random_history_sets()
     infosets = build_shuffle_demo().structure.infosets
     cases.append(SequenceSet(SHUFFLE_DEMO_SET | SHUFFLE_DEMO_WITNESS, infosets))
     assert len(cases) == 85  # 27 pennies, 7 lowerbound, 50 random, the demo union
@@ -286,6 +299,135 @@ def test_verify_span_missing_action():
     )
     assert is_alr_set(partial)
     assert verify_span(ss, partial) is None
+
+
+def test_verify_span_foreign_action_is_a_negative_answer():
+    # an original sequence holding an action the candidate's universe
+    # lacks has no generator set; the sequences before it still get theirs
+    ss = span_demo_set()
+    foreign = InformationSet("Z", MAX, ("z", "zbar"))
+    original = SequenceSet(ss.sequences | {("z",)}, ss.infosets + (foreign,))
+    candidate = wide_span_set(ss.infosets)
+    ordered = original.sorted_sequences()
+    assert ordered.index(("z",)) == len(ordered) - 1 > 0
+    assert verify_span(original, candidate) is None
+    with pytest.raises(UnspannedSequenceError) as info:
+        verify_span(original, candidate, strict=True)
+    assert info.value.sequence == ("z",)
+    assert str(info.value) == "no generator set for 'z'"
+    combos, missing = _generator_sets(original, candidate)
+    assert missing == ("z",)
+    assert combos == verify_span(ss, candidate).combinations
+    assert list(combos) == ordered[:-1]
+
+
+def _first_branching_subset(seqs: frozenset, infosets, memo: dict):
+    """A strongly branching subset by its definition, on tuples: {eps} if
+    eps is a member, else the first infoset in declaration order all of
+    whose actions continue into one.  Written apart from `seqsets`, whose
+    recursion the verifier and `find_strongly_branching_subset` share."""
+    if () in seqs:
+        return frozenset({()})
+    if not seqs:
+        return None
+    if seqs not in memo:
+        memo[seqs] = None
+        for info in infosets:
+            picked = set()
+            for a in info.actions:
+                sub = _first_branching_subset(
+                    frozenset(s[1:] for s in seqs if s[0] == a), infosets, memo
+                )
+                if sub is None:
+                    break
+                picked |= {(a,) + t for t in sub}
+            else:
+                memo[seqs] = frozenset(picked)
+                break
+    return memo[seqs]
+
+
+def _tuple_generator_sets(original: SequenceSet, candidate: SequenceSet):
+    """`span._generator_sets` as it ran before it moved to the candidate's
+    monomials: a subset test per (original, candidate) pair, and one
+    quotient `SequenceSet` per original sequence."""
+    if not is_alr_set(candidate):
+        raise NotAlrCandidateError("candidate is not an A-loss-recall set")
+    combos = {}
+    memo: dict = {}
+    ordered = [(cand, frozenset(cand)) for cand in candidate.sorted_sequences()]
+    for s in original.sorted_sequences():
+        needed = set(s)
+        quot_source = {}
+        for cand, acts in ordered:
+            if needed <= acts:
+                q = tuple(a for a in cand if a not in needed)
+                quot_source.setdefault(q, cand)
+        quotients = candidate.with_sequences(quot_source.keys())
+        sb = _first_branching_subset(quotients.sequences, candidate.infosets, memo)
+        public = find_strongly_branching_subset(quotients)
+        assert sb == (None if public is None else public.sequences)
+        if sb is None:
+            return combos, s
+        combos[s] = frozenset(quot_source[q] for q in sb)
+    return combos, None
+
+
+def test_generator_sets_match_tuple_scan():
+    """The monomial verifier picks the tuple scan's generator sets and
+    names the same first unspanned sequence: on own spans, on spans with
+    one sequence dropped, on cross-game pairs (foreign actions included)
+    and on candidates without A-loss recall."""
+    sets = [gen_lowerbound(n) for n in range(1, 8)]
+    sets += [
+        extract_histories(gen_pennies(variant, n).structure)
+        for variant in ("I", "II", "III")
+        for n in range(2, 9)
+    ]
+    sets += _random_history_sets()
+    spans = [ss.with_sequences(_minimal_span_set(ss)) for ss in sets]
+    rng = random.Random(15)
+    pairs = list(zip(sets, spans))
+    for ss, span in zip(sets, spans):
+        dropped = span.sequences - {rng.choice(span.sorted_sequences())}
+        pairs.append((ss, span.with_sequences(dropped)))
+    pairs += [(rng.choice(sets), rng.choice(spans)) for _ in range(800)]
+    pairs += [(ss, ss) for ss in sets if not is_alr_set(ss)]
+    outcomes = {"spanned": 0, "unspanned": 0, "not alr": 0, "foreign": 0}
+    for original, candidate in pairs:
+        try:
+            want = _tuple_generator_sets(original, candidate)
+        except NotAlrCandidateError:
+            with pytest.raises(NotAlrCandidateError):
+                _generator_sets(original, candidate)
+            outcomes["not alr"] += 1
+            continue
+        assert _generator_sets(original, candidate) == want
+        # each monomial of an A-loss-recall set is one sequence, so two
+        # supersequences of s never leave the same quotient
+        assert len(candidate.universe.encode(candidate.sequences)) == len(candidate)
+        outcomes["spanned" if want[1] is None else "unspanned"] += 1
+        known = candidate.universe.action_bit
+        outcomes["foreign"] += any(a not in known for s in original.sequences for a in s)
+    assert outcomes == {"spanned": 124, "unspanned": 832, "not alr": 27, "foreign": 638}
+
+
+def test_verify_span_builds_no_sequence_set(monkeypatch):
+    # the verifier runs on the candidate's monomials and plain frozensets
+    # of quotients: no quotient set is built or validated
+    ss = gen_lowerbound(6)
+    span = ss.with_sequences(_minimal_span_set(ss))
+    built = []
+    init = SequenceSet.__post_init__
+
+    def counting(self):
+        built.append(len(self.sequences))
+        init(self)
+
+    monkeypatch.setattr(SequenceSet, "__post_init__", counting)
+    cert = verify_span(ss, span)
+    assert cert is not None and len(cert.combinations) == len(ss)
+    assert built == []
 
 
 def test_structure_from_sequences_round_trip():
