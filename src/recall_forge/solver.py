@@ -4,9 +4,9 @@ Three routes, all exact:
 
 * brute force over pure strategies (the reference oracle; one-player
   non-absentminded games always have a pure optimum);
-* a polynomial route for A-loss recall: split every information set by
-  the player's own history, which yields perfect recall, then run a
-  dynamic program over history prefixes and project the choices back;
+* a polynomial route for A-loss recall: a dynamic program over the
+  player's own-history prefixes, one choice per (prefix, information
+  set) pair, read off by one walk from the empty prefix;
 * the span pipeline for everything else: minimal span, payoff transfer,
   then the A-loss-recall route on the transformed game.
 """
@@ -58,7 +58,10 @@ class SolveResult:
 
 def _pure_strategy_limit() -> int:
     raw = os.environ.get(MAX_PURE_ENV)
-    return int(raw) if raw else DEFAULT_MAX_PURE
+    try:
+        return int(raw) if raw else DEFAULT_MAX_PURE
+    except ValueError:
+        raise GameError(f"{MAX_PURE_ENV}={raw!r} is not an integer") from None
 
 
 def _require_one_player_nam(game: Game) -> str:
@@ -184,101 +187,56 @@ def refine_alr(structure: GameStructure) -> tuple[GameStructure, dict[str, str]]
     return refined, back
 
 
-def _solve_pfr(game: Game, player: str) -> tuple[Fraction, PureStrategy]:
-    """Dynamic program over own-history prefixes of a perfect-recall game.
+def solve_alr(game: Game) -> SolveResult:
+    """Polynomial route for perfect- or A-loss-recall one-player games.
 
-    With perfect recall each information set branches at exactly one
-    prefix, so per-set choices decouple: the value of a prefix is its own
-    leaf weight plus, for every set branching there, the best action's
-    continuation value.
+    With A-loss recall, two histories at one information set first
+    diverge with different actions of a common earlier set, so a pure
+    strategy reaches at most one own history of each set.  Hence each
+    (own-history prefix, information set) pair takes, on its own, the
+    first action of maximal continuation value; one walk from the empty
+    prefix reads off the strategy, and a set it misses takes its first
+    action.  `method` is "refinement": splitting each set by own history
+    is the same decomposition.
     """
+    player = _require_one_player_nam(game)
+    if not classify_recall(game.structure, player).is_alr:
+        raise GameError("input does not have A-loss recall")
     s = game.structure
+    # One player, so a node's history is the player's own history.
     leaf_weight: dict[tuple[Action, ...], Fraction] = {}
-    prefixes: set[tuple[Action, ...]] = {()}
-    branching: dict[tuple[Action, ...], list[InformationSet]] = {}
-    act_info = {a: i for i in s.infosets for a in i.actions}
+    played: dict[tuple[Action, ...], dict[str, None]] = {}  # prefix -> sets played next
+    for nid, h in s.histories.items():
+        node = s.nodes[nid]
+        if isinstance(node, Leaf):
+            weight = game.chance_weights[nid] * game.utility[nid]
+            leaf_weight[h] = leaf_weight.get(h, Fraction(0)) + weight
+        elif isinstance(node, PlayerNode):
+            played.setdefault(h, {})[node.infoset] = None
 
-    for leaf in s.leaves():
-        h = history(s, leaf, player)
-        leaf_weight[h] = leaf_weight.get(h, Fraction(0)) + game.chance_weight(leaf) * game.utility[leaf]
-        for k in range(1, len(h) + 1):
-            prefixes.add(h[:k])
-    for p in prefixes:
-        if p:
-            info = act_info[p[-1]]
-            lst = branching.setdefault(p[:-1], [])
-            if info not in lst:
-                lst.append(info)
-
-    index = {i.id: k for k, i in enumerate(s.infosets)}
-    choice: dict[str, Action] = {}
+    best: dict[tuple[tuple[Action, ...], str], Action] = {}
 
     def value(prefix: tuple[Action, ...]) -> Fraction:
         total = leaf_weight.get(prefix, Fraction(0))
-        for info in sorted(branching.get(prefix, []), key=lambda i: index[i.id]):
+        for iid in played.get(prefix, ()):
             best_v: Optional[Fraction] = None
-            best_a: Optional[Action] = None
-            for a in info.actions:
-                nxt = prefix + (a,)
-                if nxt not in prefixes:
-                    continue
-                v = value(nxt)
+            for a in s.infoset_by_id[iid].actions:
+                v = value(prefix + (a,))
                 if best_v is None or v > best_v:
-                    best_v, best_a = v, a
-            assert best_a is not None
-            choice[info.id] = best_a
+                    best_v, best[prefix, iid] = v, a
             total += best_v
         return total
 
     total = value(())
-    for info in s.infosets:
-        choice.setdefault(info.id, info.actions[0])
-    return total, PureStrategy(choice)
-
-
-def _reachable_infosets(game: Game, strategy: PureStrategy) -> set[str]:
-    out: set[str] = set()
-    stack = [game.structure.root]
-    while stack:
-        nid = stack.pop()
-        node = game.structure.nodes[nid]
-        if isinstance(node, ChanceNode):
-            stack.extend(node.children)
-        elif isinstance(node, PlayerNode):
-            out.add(node.infoset)
-            chosen = strategy.choice[node.infoset]
-            for a, c in node.children:
-                if a == chosen:
-                    stack.append(c)
-    return out
-
-
-def solve_alr(game: Game) -> SolveResult:
-    """Polynomial route for perfect- or A-loss-recall one-player games."""
-    player = _require_one_player_nam(game)
-    if classify_recall(game.structure, player) not in (
-        RecallClass.PFR,
-        RecallClass.ALR_NOT_PFR,
-    ):
-        raise GameError("input does not have A-loss recall")
-    refined, back = refine_alr(game.structure)
-    refined_game = Game(structure=refined, chance=game.chance, utility=game.utility)
-    value, refined_strat = _solve_pfr(refined_game, player)
-
-    # Project back: per original infoset, keep the choice of the unique
-    # reachable refined class; untouched infosets default to first action.
-    reachable = _reachable_infosets(refined_game, refined_strat)
     choice: dict[str, Action] = {}
-    for info in game.structure.infosets:
-        live = [rid for rid in refined_strat.choice if back[rid] == info.id and rid in reachable]
-        assert len(live) <= 1, f"two live classes for {info.id!r}"
-        if live:
-            refined_info = refined.infoset_by_id[live[0]]
-            picked = refined_strat.choice[live[0]]
-            choice[info.id] = info.actions[refined_info.actions.index(picked)]
-        else:
-            choice[info.id] = info.actions[0]
-    return SolveResult(value=value, strategy=PureStrategy(choice), method="refinement")
+    stack: list[tuple[Action, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
+        for iid in played.get(prefix, ()):
+            choice[iid] = best[prefix, iid]
+            stack.append(prefix + (choice[iid],))
+    strategy = PureStrategy({i.id: choice.get(i.id, i.actions[0]) for i in s.infosets})
+    return SolveResult(value=total, strategy=strategy, method="refinement")
 
 
 def solve(game: Game, method: str = "auto") -> SolveResult:

@@ -584,6 +584,23 @@ def test_cli_guard_exit_code(monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "raw, expected",
+    [("abc", 1), (" 4 ", 0), (" 3 ", 3), ("", 0)],
+    ids=["malformed", "blanks", "over-guard", "empty"],
+)
+def test_cli_guard_value_parsing(monkeypatch, raw, expected):
+    # pennies I n = 3 has 4 pure strategies; surrounding blanks are allowed
+    # and an empty value means the default guard
+    monkeypatch.setenv("RECALL_FORGE_MAX_PURE", raw)
+    doc = serialize_game(gen_pennies("I", 3))
+    code, out, err = run(["solve", "--method", "bruteforce"], stdin_text=doc)
+    assert code == expected
+    if raw == "abc":
+        assert out == ""
+        assert err == "error: RECALL_FORGE_MAX_PURE='abc' is not an integer\n"
+
+
 GOLDEN_CASES = [
     (["classify"], ("pennies", "I"), "classify_pennies_I_n3.txt"),
     (["classify"], ("pennies", "II"), "classify_pennies_II_n3.txt"),

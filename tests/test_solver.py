@@ -7,10 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recall_forge.model import MAX, GameError, RecallClass, SizeLimitError, classify_recall
+from recall_forge.model import (
+    MAX,
+    ChanceNode,
+    Game,
+    GameError,
+    GameStructure,
+    InformationSet,
+    PlayerNode,
+    RecallClass,
+    SizeLimitError,
+    classify_recall,
+    history,
+)
 from recall_forge.generators import FamilyParams, gen_pennies, gen_random, gen_random_alr
 from recall_forge.polynomials import payoff_polynomial
-from recall_forge.seqsets import SequenceSet
+from recall_forge.seqsets import SequenceSet, extract_histories
 from recall_forge.solver import (
     PureStrategy,
     expected_payoff,
@@ -19,7 +31,8 @@ from recall_forge.solver import (
     solve_alr,
     solve_bruteforce,
 )
-from recall_forge.span import structure_from_sequences
+from recall_forge.span import minimal_span, structure_from_sequences
+from recall_forge.transform import transfer_payoffs
 
 from conftest import build_shuffle_demo, build_span_demo, seqs, strategy_point, TreeBuilder
 
@@ -215,3 +228,137 @@ def test_solve_validates_each_structure_once(monkeypatch, variant, n, method, st
     monkeypatch.setattr(model, "validate", counting)
     assert solve(game).method == method
     assert len({id(s) for s in seen}) == len(seen) == structures
+
+
+def _refined_pfr(game, player):
+    # the perfect-recall DP that solved the refined game before the prefix DP
+    s = game.structure
+    leaf_weight = {}
+    prefixes = {()}
+    branching = {}
+    act_info = {a: i for i in s.infosets for a in i.actions}
+    for leaf in s.leaves():
+        h = history(s, leaf, player)
+        leaf_weight[h] = leaf_weight.get(h, Fraction(0)) + game.chance_weight(leaf) * game.utility[leaf]
+        for k in range(1, len(h) + 1):
+            prefixes.add(h[:k])
+    for p in prefixes:
+        if p:
+            info = act_info[p[-1]]
+            lst = branching.setdefault(p[:-1], [])
+            if info not in lst:
+                lst.append(info)
+    index = {i.id: k for k, i in enumerate(s.infosets)}
+    choice = {}
+
+    def value(prefix):
+        total = leaf_weight.get(prefix, Fraction(0))
+        for info in sorted(branching.get(prefix, []), key=lambda i: index[i.id]):
+            best_v = best_a = None
+            for a in info.actions:
+                nxt = prefix + (a,)
+                if nxt not in prefixes:
+                    continue
+                v = value(nxt)
+                if best_v is None or v > best_v:
+                    best_v, best_a = v, a
+            choice[info.id] = best_a
+            total += best_v
+        return total
+
+    total = value(())
+    for info in s.infosets:
+        choice.setdefault(info.id, info.actions[0])
+    return total, choice
+
+
+def _refinement_route(game):
+    """Value and choices of the A-loss-recall route that solved the game
+    `refine_alr` builds and projected the choices of its reachable sets
+    back; the reference for `solve_alr`."""
+    player = (game.structure.players() or (MAX,))[0]
+    refined, back = refine_alr(game.structure)
+    refined_game = Game(structure=refined, chance=game.chance, utility=game.utility)
+    value, refined_choice = _refined_pfr(refined_game, player)
+    reachable = set()
+    stack = [refined.root]
+    while stack:
+        node = refined.nodes[stack.pop()]
+        if isinstance(node, ChanceNode):
+            stack.extend(node.children)
+        elif isinstance(node, PlayerNode):
+            reachable.add(node.infoset)
+            stack.extend(c for a, c in node.children if a == refined_choice[node.infoset])
+    choice = {}
+    for info in game.structure.infosets:
+        live = [rid for rid in refined_choice if back[rid] == info.id and rid in reachable]
+        assert len(live) <= 1
+        if live:
+            picked = refined_choice[live[0]]
+            choice[info.id] = info.actions[refined.infoset_by_id[live[0]].actions.index(picked)]
+        else:
+            choice[info.id] = info.actions[0]
+    return value, choice
+
+
+def _span_target(game):
+    return transfer_payoffs(game, minimal_span(extract_histories(game.structure))).game
+
+
+def _pure_count(game):
+    count = 1
+    for info in game.structure.infosets:
+        count *= len(info.actions)
+    return count
+
+
+ALR_SEEDS = 200  # per depth/branching pair
+SPAN_SEEDS = 100
+
+
+def _alr_route_cases():
+    """Named A-loss-recall games: two without a player move, random ones,
+    pennies I, and span-pipeline targets."""
+    b = TreeBuilder()
+    yield "single leaf", b.game(b.leaf(Fraction(5, 7)), [])
+    b = TreeBuilder()
+    root = b.chance_node([(Fraction(1, 3), b.leaf(2)), (Fraction(2, 3), b.leaf(-1))])
+    yield "chance only", b.game(root, [])
+    for depth, branching in ((3, 3), (4, 3), (5, 2), (6, 2)):
+        for seed in range(ALR_SEEDS):
+            params = FamilyParams(family="random", seed=seed, depth=depth, branching=branching)
+            yield f"alr {depth}/{branching} seed {seed}", gen_random_alr(params)
+    for n in range(1, 12):
+        yield f"pennies I n={n}", gen_pennies("I", n)
+    for seed in range(SPAN_SEEDS):
+        game = gen_random(FamilyParams(family="random", seed=seed, depth=4, branching=3))
+        if _pure_count(game) <= 2**12:
+            yield f"span of random seed {seed}", _span_target(game)
+    for n in (3, 6, 10):
+        yield f"span of pennies III n={n}", _span_target(gen_pennies("III", n))
+
+
+def test_solve_alr_matches_refinement_route():
+    mismatches = []
+    for name, game in _alr_route_cases():
+        result = solve_alr(game)
+        value, choice = _refinement_route(game)
+        if (result.value, list(result.strategy.choice.items())) != (value, list(choice.items())):
+            mismatches.append(name)
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("target", ["pennies I n=5", "span of pennies III n=3"])
+def test_solve_alr_builds_no_game(monkeypatch, target):
+    game = gen_pennies("I", 5) if target == "pennies I n=5" else _span_target(gen_pennies("III", 3))
+    built = []
+    for cls in (GameStructure, InformationSet, Game):
+        real = cls.__init__
+
+        def counting(self, *args, _real=real, **kwargs):
+            built.append(type(self).__name__)
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    solve_alr(game)
+    assert built == []
