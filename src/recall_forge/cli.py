@@ -230,7 +230,7 @@ def _dispatch(args, stdout, stderr) -> int:
         original = extract_histories(original_game.structure)
         candidate = extract_histories(candidate_game.structure)
         try:
-            cert = verify_span(original, candidate, strict=True)
+            cert = verify_span(original, candidate)
         except (NotAlrCandidateError, UnspannedSequenceError) as exc:
             stderr.write(f"candidate does not span the original: {exc}\n")
             return EXIT_NEGATIVE

@@ -7,11 +7,12 @@ declaration order, and sequences are iterated in a fixed total order
 derived from that declaration order.
 
 Every set carries its universe, a `Monomials` built once from the infoset
-tuple and shared by every derived subset, and each sequence's infoset
-mask.  The recursions that ignore the order of actions (the minimal-span
-search, the shuffle depth and shuffled-A-loss-recall detection) run on the
-monomials of that universe, through its one component step, covering
-infoset and branch step.
+tuple and shared by every derived subset, and each sequence's monomial:
+the kernel codes and validates every sequence once, when the set is
+built.  The recursions that ignore the order of actions (components, the
+minimal-span search, the shuffle depth and shuffled-A-loss-recall
+detection) start from those monomials and run through the kernel's one
+component step, covering infoset and branch step.
 
 The recursions that read the order of actions (the A-loss-recall test,
 strongly branching subsets and `span.realize_sequence_set`) share one
@@ -24,7 +25,7 @@ node, order-free or not, builds or validates a `SequenceSet`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NoReturn, Optional, TypeVar
+from typing import Callable, Iterable, NoReturn, Optional
 
 from .model import (
     Action,
@@ -38,8 +39,6 @@ from .model import (
 
 Sequence = tuple[Action, ...]
 EPSILON: Sequence = ()
-
-_K = TypeVar("_K")
 
 
 class Monomials:
@@ -100,16 +99,6 @@ class Monomials:
             shift *= 2
         self._masks: dict[int, int] = {0: 0}  # monomial -> infoset mask
 
-    def encode(self, seqs: Iterable[Sequence]) -> frozenset[int]:
-        """The monomials of a set of sequences over this universe."""
-        out = set()
-        for s in seqs:
-            m = 0
-            for a in s:
-                m |= self.action_bit[a]
-            out.add(m)
-        return frozenset(out)
-
     def infoset_mask(self, m: int) -> int:
         """The lowest action bit of each infoset the monomial touches."""
         got = self._masks.get(m)
@@ -126,27 +115,46 @@ class Monomials:
         return got
 
     def components(self, ms: frozenset[int]) -> list[frozenset[int]]:
-        """Connected components, as in `components`, in no fixed order."""
-        groups = _connected({m: self.infoset_mask(m) for m in ms})
+        """Connected components, as in `components`, in no fixed order.
+
+        Merges the infoset masks into disjoint unions, then buckets each
+        monomial under the union holding its mask.  A zero mask
+        (epsilon's) overlaps nothing and is a component of its own.
+        """
+        masks = {m: self.infoset_mask(m) for m in ms}
+        groups: list[int] = []  # disjoint unions of overlapping masks
+        for mask in set(masks.values()):
+            rest = []
+            for g in groups:
+                if g & mask:
+                    mask |= g
+                else:
+                    rest.append(g)
+            rest.append(mask)
+            groups = rest
         if len(groups) <= 1:
             return [ms] if groups else []
-        return [frozenset(g) for g in groups]
+        buckets: dict[int, list[int]] = {g: [] for g in groups}
+        for m, mask in masks.items():
+            buckets[next(g for g in groups if g & mask or g == mask)].append(m)
+        return [frozenset(b) for b in buckets.values()]
 
-    def covering(self, masks: Iterable[int]) -> Optional[int]:
-        """Position of the first infoset in every infoset mask; None if
-        there is none, or no mask."""
+    def covering(self, ms: Iterable[int]) -> Optional[int]:
+        """Position of the first infoset every monomial touches; None if
+        there is none, or no monomial."""
         common = -1
-        for m in masks:
-            common &= m
+        for m in ms:
+            common &= self.infoset_mask(m)
             if not common:
                 return None
         return None if common < 0 else self.position[common & -common]
 
-    def present(self, masks: Iterable[int]) -> list[int]:
-        """Positions, in declaration order, of the infosets in some mask."""
+    def present(self, ms: Iterable[int]) -> list[int]:
+        """Positions, in declaration order, of the infosets some monomial
+        touches."""
         used = 0
-        for m in masks:
-            used |= m
+        for m in ms:
+            used |= self.infoset_mask(m)
         out = []
         while used:
             low = used & -used
@@ -178,31 +186,35 @@ class Monomials:
 class SequenceSet:
     """A deduplicated set of sequences over a fixed infoset universe.
 
-    Construction checks every sequence: each action must belong to an
-    infoset of the universe, and no two actions to the same one.
+    Construction codes every sequence as its monomial and checks it: each
+    action must belong to an infoset of the universe, and no two actions
+    to the same one.
     """
 
     sequences: frozenset[Sequence]
     infosets: tuple[InformationSet, ...]
     # the shared universe, not part of the value (== and hash ignore it)
     universe: Optional[Monomials] = field(default=None, compare=False, repr=False)
-    # each sequence's infoset mask (see `Monomials`)
-    masks: dict[Sequence, int] = field(init=False, compare=False, repr=False)
+    # each sequence's monomial (see `Monomials`)
+    monomials: dict[Sequence, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.universe is None:
             object.__setattr__(self, "universe", Monomials(self.infosets))
-        get = self.universe.infoset_bit.__getitem__
+        kernel = self.universe
+        get = kernel.action_bit.__getitem__
+        # n distinct action bits sum to n set bits and a repeated action
+        # carries into fewer; the kernel rejects two actions of one infoset
+        # and keeps a bit per infoset, so the totals agree iff all are valid
         try:
-            masks = {s: sum(map(get, s)) for s in self.sequences}
-        except KeyError:
+            monomials = {s: sum(map(get, s)) for s in self.sequences}
+            masks = map(kernel.infoset_mask, monomials.values())
+            valid = sum(map(int.bit_count, masks)) == sum(map(len, monomials))
+        except (KeyError, GameError):
+            valid = False
+        if not valid:
             self._reject()
-        # a sum of n infoset bits has n bits set when the bits are distinct
-        # and fewer otherwise (a repeat carries), so the totals agree iff
-        # every sequence is valid
-        if sum(map(int.bit_count, masks.values())) != sum(map(len, masks)):
-            self._reject()
-        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "monomials", monomials)
 
     def _reject(self) -> NoReturn:
         """Raise for the first invalid sequence."""
@@ -231,7 +243,7 @@ class SequenceSet:
 
     def present_infosets(self) -> list[InformationSet]:
         """Infosets with at least one action occurring in some sequence."""
-        return [self.infosets[k] for k in self.universe.present(self.masks.values())]
+        return [self.infosets[k] for k in self.universe.present(self.monomials.values())]
 
     def __len__(self) -> int:
         return len(self.sequences)
@@ -258,31 +270,6 @@ def extract_histories(structure: GameStructure, player: Optional[str] = None) ->
     return SequenceSet(frozenset(seqs), infosets)
 
 
-def _connected(masks: dict[_K, int]) -> list[list[_K]]:
-    """The keys grouped by transitively overlapping infoset masks.
-
-    Merges the masks into disjoint unions, then buckets each key under
-    the union holding its mask.  A zero mask (epsilon's) overlaps nothing
-    and is a group of its own.
-    """
-    groups: list[int] = []  # disjoint unions of overlapping masks
-    for m in set(masks.values()):
-        rest = []
-        for g in groups:
-            if g & m:
-                m |= g
-            else:
-                rest.append(g)
-        rest.append(m)
-        groups = rest
-    if len(groups) <= 1:
-        return [list(masks)] if masks else []
-    buckets: dict[int, list[_K]] = {g: [] for g in groups}
-    for key, m in masks.items():
-        buckets[next(g for g in groups if g & m or g == m)].append(key)
-    return list(buckets.values())
-
-
 def components(ss: SequenceSet) -> list[SequenceSet]:
     """Connected components; the empty sequence is always its own component.
 
@@ -290,16 +277,17 @@ def components(ss: SequenceSet) -> list[SequenceSet]:
     ordered by their smallest member in `seq_key` order, so an epsilon
     component comes first.
     """
-    groups = _connected(ss.masks)
-    if len(groups) <= 1:
-        return [ss] if groups else []
+    comps = ss.universe.components(frozenset(ss.monomials.values()))
+    if len(comps) <= 1:
+        return [ss] if comps else []
+    groups = [[s for s, m in ss.monomials.items() if m in comp] for comp in comps]
     ordered = sorted(groups, key=lambda b: min(map(ss.seq_key, b)))
     return [ss.with_sequences(b) for b in ordered]
 
 
 def covering_infoset(ss: SequenceSet) -> Optional[InformationSet]:
     """First infoset (declaration order) touching every sequence, if any."""
-    k = ss.universe.covering(ss.masks.values())
+    k = ss.universe.covering(ss.monomials.values())
     return None if k is None else ss.infosets[k]
 
 

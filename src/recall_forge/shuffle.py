@@ -9,22 +9,22 @@ The witness is assembled on the way back up by fronting the chosen
 infoset's action in each branch.
 
 None of these steps reads the order of actions, so detection runs on the
-monomials of the set's universe with the steps of the span searches:
-`Monomials.components`, `covering` and `branches`.  Each monomial gets one
-witness sequence, and each history the witness of its monomial.  So
-distinct histories can collapse onto one witness sequence (two
-reorderings of the same multiset), and the witness may be smaller than
-the input; the set of leaf monomials is preserved either way.
+set's monomials (`SequenceSet.monomials`) with the steps of the span
+searches: `Monomials.components`, `covering` and `branches`.  Each
+monomial gets one witness sequence, and each history the witness of its
+monomial.  So distinct histories can collapse onto one witness sequence
+(two reorderings of the same multiset), and the witness may be smaller
+than the input; the set of leaf monomials is preserved either way.  The
+exhaustive reference check lives in `oracles`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import GameStructure, SizeLimitError
-from .seqsets import EPSILON, Sequence, SequenceSet, extract_histories, is_alr_set
+from .model import GameStructure
+from .seqsets import EPSILON, Sequence, SequenceSet, extract_histories
 from .span import structure_from_sequences
 
 
@@ -48,8 +48,8 @@ def salr_witness(ss: SequenceSet) -> SalrResult:
     kernel = ss.universe
     bit = kernel.action_bit
     histories: dict[int, list[Sequence]] = {}  # monomial -> the histories over it
-    for s in ss.sequences:
-        histories.setdefault(sum(map(bit.__getitem__, s)), []).append(s)
+    for s, m in ss.monomials.items():
+        histories.setdefault(m, []).append(s)
 
     def node_sequences(ms: frozenset[int], path: int) -> list[Sequence]:
         """The sequences of the node reached by fixing the actions in `path`:
@@ -77,7 +77,7 @@ def salr_witness(ss: SequenceSet) -> SalrResult:
                     return None
                 out.update(got)
             return out
-        k = kernel.covering(map(kernel.infoset_mask, ms))
+        k = kernel.covering(ms)
         if k is None:
             failure = (ms, path)
             return None
@@ -97,24 +97,6 @@ def salr_witness(ss: SequenceSet) -> SalrResult:
         return SalrResult(False, None, None, ss.with_sequences(node_sequences(*failure)))
     mapping = {s: witnesses[m] for m, group in histories.items() for s in group}
     return SalrResult(True, ss.with_sequences(mapping.values()), mapping)
-
-
-def salr_bruteforce_oracle(ss: SequenceSet, max_size: int = 8) -> bool:
-    """Exhaustive check: some choice of one permutation per sequence makes
-    the (deduplicated) image an A-loss-recall set.
-
-    Only intended for small inputs; the search is factorial per sequence.
-    """
-    if len(ss) > max_size:
-        raise SizeLimitError(f"instance too large for the oracle (|S| > {max_size})")
-    seqs = ss.sorted_sequences()
-    if any(len(s) > 6 for s in seqs):
-        raise SizeLimitError("instance too large for the oracle (sequence length > 6)")
-    perms = [sorted({p for p in itertools.permutations(s)}) for s in seqs]
-    for combo in itertools.product(*perms):
-        if is_alr_set(ss.with_sequences(combo)):
-            return True
-    return False
 
 
 def shuffle_structure(structure: GameStructure) -> Optional[GameStructure]:

@@ -7,26 +7,28 @@ mirrors the shuffle detection: a covering infoset fixes the first level;
 with no covering infoset, every information set is tried and the
 smallest candidate wins (declaration order breaks ties).
 
-The minimal-span and shuffle-depth searches run on monomials, the
-integer codes of the set's universe (a `seqsets.Monomials`), as the
-shuffle detection of `shuffle.salr_witness` does.  Every step of these
-recursions (components, the covering infoset, the present infosets, the
-branch step, dropping epsilon) reads only which actions a sequence holds,
-and the span's sequences are built as `(a,) + t` from the infosets fixed
-on the way down.  So a subproblem's answer depends only on its set of
+The minimal-span and shuffle-depth searches start from the set's
+monomials (`SequenceSet.monomials`), as the shuffle detection of
+`shuffle.salr_witness` does.  Every step of these recursions
+(components, the covering infoset, the present infosets, the branch
+step, dropping epsilon) reads only which actions a sequence holds, and
+the span's sequences are built as `(a,) + t` from the infosets fixed on
+the way down.  So a subproblem's answer depends only on its set of
 monomials, and sequences that differ only in action order are one
 subproblem.  The verifier, the A-loss-recall test and
 `realize_sequence_set` read the first action of each sequence, so order
 matters to them: they recurse on tuples through the one first-action
 split of `seqsets`, and build no `SequenceSet` per recursion node.
 
-The verifier is independent of the construction: for each original
-sequence s it finds the candidate's supersequences of s by a bit test on
-the candidate's monomials, divides s out of them, and searches the
-quotients for a strongly branching subset with the recursion of
+The verifier is independent of the construction: it checks that the
+candidate has A-loss recall, then for each original sequence s it finds
+the candidate's supersequences of s by a bit test on the candidate's
+monomials, divides s out of them, and searches the quotients for a
+strongly branching subset with the recursion of
 `seqsets.find_strongly_branching_subset`, whose memo one verification
-shares across every s.  Certificates store those subsets, so payoff
-transfer can replay them without re-deriving anything.
+shares across every s.  It returns a certificate or raises for the first
+failure.  Certificates store those subsets, so payoff transfer can
+replay them without re-deriving anything.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .model import (
     Leaf,
     Node,
     PlayerNode,
-    SizeLimitError,
 )
 from .seqsets import (
     EPSILON,
@@ -68,8 +69,8 @@ class NotAlrCandidateError(GameError):
 
 
 class UnspannedSequenceError(GameError):
-    """Raised by a strict `verify_span` for the first original sequence
-    that the candidate cannot generate."""
+    """Raised by `verify_span` for the first original sequence that the
+    candidate cannot generate."""
 
     def __init__(self, sequence: Sequence) -> None:
         super().__init__(f"no generator set for {' '.join(sequence)!r}")
@@ -132,11 +133,10 @@ def _minimal_span_set(ss: SequenceSet, stats: Optional[SpanStats] = None) -> fro
         if len(comps) > 1:
             result = frozenset().union(*map(rec, comps))
         else:
-            masks = list(map(kernel.infoset_mask, ms))
-            cover = kernel.covering(masks)
+            cover = kernel.covering(ms)
             best: list[tuple[Action, frozenset[Sequence]]] = []
             best_size = -1
-            for k in [cover] if cover is not None else kernel.present(masks):
+            for k in [cover] if cover is not None else kernel.present(ms):
                 spans = []  # a loop, not a comprehension: one stack frame per level
                 for a, q in zip(ss.infosets[k].actions, kernel.branches(ms, k)):
                     spans.append((a, rec(q)))
@@ -147,19 +147,14 @@ def _minimal_span_set(ss: SequenceSet, stats: Optional[SpanStats] = None) -> fro
         memo[ms] = result
         return result
 
-    result = rec(kernel.encode(ss.sequences))
+    result = rec(frozenset(ss.monomials.values()))
     memo.clear()  # see seqsets.is_alr_set
     return result
 
 
 def minimal_span(ss: SequenceSet, stats: Optional[SpanStats] = None) -> SpanCertificate:
     """Smallest A-loss-recall span, with a verified generation certificate."""
-    span_seqs = _minimal_span_set(ss, stats)
-    span = ss.with_sequences(span_seqs)
-    cert = verify_span(ss, span)
-    if cert is None:
-        raise GameError("internal error: computed span failed verification")
-    return cert
+    return verify_span(ss, ss.with_sequences(_minimal_span_set(ss, stats)))
 
 
 def shuffle_depth(ss: SequenceSet) -> int:
@@ -189,41 +184,38 @@ def shuffle_depth(ss: SequenceSet) -> int:
         if len(comps) > 1:
             ans = max(map(rec, comps))
         else:
-            masks = list(map(kernel.infoset_mask, ms))
-            cover = kernel.covering(masks)
+            cover = kernel.covering(ms)
             if cover is not None and not any(map(rec, kernel.branches(ms, cover))):
                 ans = 0
             else:
                 ans = 1 + min(
-                    max(map(rec, kernel.branches(ms, k))) for k in kernel.present(masks)
+                    max(map(rec, kernel.branches(ms, k))) for k in kernel.present(ms)
                 )
         memo[ms] = ans
         return ans
 
-    result = rec(kernel.encode(ss.sequences))
+    result = rec(frozenset(ss.monomials.values()))
     memo.clear()  # see seqsets.is_alr_set
     return result
 
 
-def verify_span(
-    original: SequenceSet, candidate: SequenceSet, *, strict: bool = False
-) -> Optional[SpanCertificate]:
+def verify_span(original: SequenceSet, candidate: SequenceSet) -> SpanCertificate:
     """Check that the candidate generates every original monomial.
 
     For each original sequence s, the candidate sequences containing all
     of s's actions are divided by s; a strongly branching subset of the
     quotients certifies that the matching candidates sum to the monomial
-    of s.  Returns the certificate, or None if some monomial is out of
-    reach; with `strict`, that answer raises `UnspannedSequenceError`
-    naming the first such sequence instead.  A candidate without A-loss
-    recall raises `NotAlrCandidateError`.
+    of s.  Returns the certificate.  A candidate without A-loss recall
+    raises `NotAlrCandidateError`, and one that cannot generate some
+    original monomial raises `UnspannedSequenceError`, naming the first
+    such sequence in `sorted_sequences` order.
     """
+    if not is_alr_set(candidate):
+        raise NotAlrCandidateError("candidate is not an A-loss-recall set")
     combos, missing = _generator_sets(original, candidate)
-    if missing is None:
-        return SpanCertificate(original=original, span=candidate, combinations=combos)
-    if strict:
+    if missing is not None:
         raise UnspannedSequenceError(missing)
-    return None
+    return SpanCertificate(original=original, span=candidate, combinations=combos)
 
 
 def _generator_sets(
@@ -232,19 +224,18 @@ def _generator_sets(
     """The generator set of each original sequence in `sorted_sequences`
     order, up to the first that has none; that sequence, or None.
 
-    Runs on the candidate's universe: a candidate sequence holds every
-    action of s exactly when its monomial holds s's monomial, so only
-    those candidates are divided by s.  When two give the same quotient,
-    the first in sort order stands for it.  An action the candidate's
+    The caller has checked that the candidate has A-loss recall.  Runs
+    on the candidate's universe: a candidate sequence holds every action
+    of s exactly when its monomial holds s's monomial, so only those
+    candidates are divided by s.  When two give the same quotient, the
+    first in sort order stands for it.  An action the candidate's
     universe lacks leaves s without a generator set.  The quotients are
     subsequences of the validated candidate's sequences, so the strongly
     branching search takes them as plain frozensets, with one memo for
     the whole call.
     """
-    if not is_alr_set(candidate):
-        raise NotAlrCandidateError("candidate is not an A-loss-recall set")
     bit = candidate.universe.action_bit
-    coded = [(sum(map(bit.__getitem__, c)), c) for c in candidate.sorted_sequences()]
+    coded = [(candidate.monomials[c], c) for c in candidate.sorted_sequences()]
     memo: dict[frozenset[Sequence], Optional[frozenset[Sequence]]] = {}
     branching = _branching_search(candidate.infosets, candidate.universe, memo)
     combos: dict[Sequence, frozenset[Sequence]] = {}
@@ -253,7 +244,7 @@ def _generator_sets(
         if not all(map(bit.__contains__, s)):
             missing = s
             break
-        m = sum(map(bit.__getitem__, s))  # distinct actions, so distinct bits
+        m = sum(map(bit.__getitem__, s))
         held = frozenset(s).__contains__
         source: dict[Sequence, Sequence] = {}
         for cm, c in coded:
@@ -324,166 +315,3 @@ def structure_from_sequences(ss: SequenceSet) -> GameStructure:
     if not is_alr_set(ss):
         raise GameError("input set does not have A-loss recall")
     return realize_sequence_set(ss)
-
-
-def _all_alr_sets(
-    infosets: tuple[InformationSet, ...], size_cap: int
-) -> list[frozenset[Sequence]]:
-    """Every nonempty epsilon-free A-loss-recall set over the universe,
-    up to `size_cap` sequences.
-
-    Generated from the recursive shape of such sets: a connected set is a
-    leading infoset with per-action continuations (each empty, {eps}, a
-    smaller set, or a smaller set plus eps); a disconnected set is a
-    union of connected sets over pairwise disjoint infoset supports.
-    """
-
-    ids = tuple(i.id for i in infosets)
-    memo_conn: dict[frozenset[str], dict[frozenset[Sequence], frozenset[str]]] = {}
-    memo_all: dict[frozenset[str], dict[frozenset[Sequence], frozenset[str]]] = {}
-
-    def all_over(avail: frozenset[str]) -> dict[frozenset[Sequence], frozenset[str]]:
-        got = memo_all.get(avail)
-        if got is not None:
-            return got
-        out = dict(connected_over(avail))
-        # unions of connected parts over pairwise disjoint supports
-        by_support: dict[frozenset[str], list[frozenset[Sequence]]] = {}
-        for seqs, supp in connected_over(avail).items():
-            by_support.setdefault(supp, []).append(seqs)
-        supports = sorted(by_support, key=sorted)
-
-        def grow(start: int, acc: frozenset[Sequence], used: frozenset[str], parts: int):
-            if parts >= 2 and len(acc) <= size_cap:
-                out.setdefault(acc, used)
-            for k in range(start, len(supports)):
-                supp = supports[k]
-                if supp & used:
-                    continue
-                for seqs in by_support[supp]:
-                    if len(acc) + len(seqs) <= size_cap:
-                        grow(k + 1, acc | seqs, used | supp, parts + 1)
-
-        grow(0, frozenset(), frozenset(), 0)
-        memo_all[avail] = out
-        return out
-
-    def connected_over(avail: frozenset[str]) -> dict[frozenset[Sequence], frozenset[str]]:
-        got = memo_conn.get(avail)
-        if got is not None:
-            return got
-        result: dict[frozenset[Sequence], frozenset[str]] = {}
-        for lead in infosets:
-            if lead.id not in avail:
-                continue
-            others = avail - {lead.id}
-            base: list[tuple[Optional[frozenset[Sequence]], frozenset[str], int]] = [
-                (None, frozenset(), 0),
-                (frozenset({EPSILON}), frozenset(), 1),
-            ]
-            for s, supp in all_over(others).items():
-                base.append((s, supp, len(s)))
-                base.append((s | {EPSILON}, supp, len(s) + 1))
-            # prefix every option by every action of the lead once
-            prefixed: list[list[tuple[Optional[frozenset[Sequence]], frozenset[str], int]]] = []
-            for a in lead.actions:
-                row = []
-                for s, supp, size in base:
-                    if s is None:
-                        row.append((None, supp, 0))
-                    else:
-                        row.append((frozenset((a,) + t for t in s), supp, size))
-                prefixed.append(row)
-            for combo in itertools.product(*prefixed):
-                total = sum(c[2] for c in combo)
-                if total == 0 or total > size_cap:
-                    continue
-                seqs: frozenset[Sequence] = frozenset()
-                supp: frozenset[str] = frozenset({lead.id})
-                for branch, bsupp, _ in combo:
-                    if branch is None:
-                        continue
-                    seqs |= branch
-                    supp |= bsupp
-                result[seqs] = supp
-        memo_conn[avail] = result
-        return result
-
-    return list(all_over(frozenset(ids)))
-
-
-# (monomial -> bit, [per size: [(sequences, coverage mask)]])
-_OracleIndex = tuple[dict[frozenset[Action], int], list[list[tuple[frozenset[Sequence], int]]]]
-
-
-def _oracle_index(present: tuple[InformationSet, ...]) -> _OracleIndex:
-    cap = 1
-    for i in present:
-        cap *= len(i.actions)
-    # bit per nonempty monomial of the universe
-    bit_of: dict[frozenset[Action], int] = {}
-    for combo in itertools.product(*((None, *i.actions) for i in present)):
-        mono = frozenset(a for a in combo if a is not None)
-        if mono and mono not in bit_of:
-            bit_of[mono] = len(bit_of)
-    # every nonempty sub-monomial of a candidate sequence is coverable
-    seq_mask: dict[Sequence, int] = {}
-
-    def mask_of(s: Sequence) -> int:
-        got = seq_mask.get(s)
-        if got is None:
-            got = 0
-            for r in range(1, len(s) + 1):
-                for sub in itertools.combinations(s, r):
-                    got |= 1 << bit_of[frozenset(sub)]
-            seq_mask[s] = got
-        return got
-
-    by_size: list[list[tuple[frozenset[Sequence], int]]] = [[] for _ in range(cap + 1)]
-    for seqs in _all_alr_sets(present, cap):
-        if len(seqs) > cap:
-            continue
-        mask = 0
-        for s in seqs:
-            mask |= mask_of(s)
-        by_size[len(seqs)].append((seqs, mask))
-    return bit_of, by_size
-
-
-class MinimalityOracle:
-    """Exhaustive minimal-span size: enumerate every A-loss-recall set over
-    the present infosets by increasing size and return the first size at
-    which verification succeeds.
-
-    Guarded to tiny universes (binary infosets only); meant purely as an
-    independent check of the minimal-span recursion.  An oracle keeps the
-    enumeration of each universe it has seen for as long as its caller
-    keeps the oracle.
-    """
-
-    def __init__(self) -> None:
-        self._indexes: dict[tuple, _OracleIndex] = {}
-
-    def __call__(self, ss: SequenceSet, max_infosets: int = 3, max_size: int = 8) -> int:
-        present = tuple(ss.present_infosets())
-        if len(present) > max_infosets or len(ss) > max_size:
-            raise SizeLimitError("instance too large for the minimality oracle")
-        if any(len(i.actions) != 2 for i in present):
-            raise SizeLimitError("the minimality oracle only handles binary infosets")
-
-        key = tuple((i.id, i.actions) for i in present)
-        if key not in self._indexes:
-            self._indexes[key] = _oracle_index(present)
-        bit_of, by_size = self._indexes[key]
-        want = 0
-        for s in ss.sequences:
-            if s:
-                want |= 1 << bit_of[frozenset(s)]
-        for size in range(1, len(by_size)):
-            for cand_seqs, mask in by_size[size]:
-                if want & ~mask:
-                    continue
-                cand = ss.with_sequences(cand_seqs)
-                if verify_span(ss, cand) is not None:
-                    return size
-        raise GameError("no span found within the enumeration bound")

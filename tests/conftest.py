@@ -28,7 +28,7 @@ from recall_forge.model import (
     PlayerNode,
 )
 from recall_forge.seqsets import SequenceSet
-from recall_forge.span import MinimalityOracle
+from recall_forge.oracles import MinimalityOracle
 
 
 class TreeBuilder:

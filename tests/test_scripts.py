@@ -1,6 +1,7 @@
 """Smoke tests: the scripts under scripts/ run against the current package,
 the benchmark tracer finds every function it wraps, and every public
-definition of the package is used somewhere."""
+definition of the package, and every public method of its public classes,
+is used somewhere."""
 
 from __future__ import annotations
 
@@ -73,16 +74,24 @@ def test_every_public_definition_is_used():
     for tree in trees.values():
         used.update(_names(tree))
     definitions = [
-        (path, node)
+        (f"{path.stem}.{node.name}", node)
         for path, tree in trees.items()
         if path.parent == ROOT / "src" / "recall_forge"
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     ]
+    # the public methods of those public classes too
+    definitions += [
+        (f"{label}.{node.name}", node)
+        for label, cls in definitions
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
     # a use inside the definition itself, such as a recursive call, does not count
     unused = [
-        f"{path.stem}.{node.name}"
-        for path, node in definitions
+        label
+        for label, node in definitions
         if used[node.name] == Counter(_names(node))[node.name]
     ]
     assert definitions

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,6 +39,14 @@ PAIR = (
     InformationSet("I2", MAX, ("c", "d")),
     InformationSet("I3", MAX, ("e", "f")),
 )
+
+
+def encoder(infosets):
+    """The set's universe, and a function that codes a set of sequences
+    over it as the monomials `SequenceSet` gives them."""
+    empty = SequenceSet(frozenset(), infosets)
+    return empty.universe, lambda s: frozenset(empty.with_sequences(s).monomials.values())
+
 
 def test_extract_histories_perfect_recall(perfect_recall_demo):
     ss = extract_histories(perfect_recall_demo.structure)
@@ -93,8 +102,7 @@ def test_is_alr_set_examples():
 
 def test_branches():
     infos = build_shuffle_demo().structure.infosets
-    kernel = Monomials(infos)
-    enc = kernel.encode
+    kernel, enc = encoder(infos)
     ms = enc(SHUFFLE_DEMO_SET)
     # one branch per action, in declaration order
     assert [len(kernel.branches(ms, k)) for k in range(3)] == [2, 2, 2]
@@ -111,8 +119,7 @@ def test_branches():
 
 
 def test_quotient_by_action():
-    kernel = Monomials(build_shuffle_demo().structure.infosets)
-    enc = kernel.encode
+    kernel, enc = encoder(build_shuffle_demo().structure.infosets)
     ms = enc(SHUFFLE_DEMO_SET)
     # I3 = {a, abar} touches every sequence: the branches are the quotients
     assert kernel.branches(ms, 2)[0] == enc(seqs("b", "bbar", "c", "cbar"))
@@ -129,13 +136,10 @@ def test_residual_without_infoset():
     lb2 = gen_lowerbound(2)
     kernel = lb3.universe
     l3 = next(k for k, i in enumerate(lb3.infosets) if i.id == "L3")
-    assert kernel.branches(kernel.encode(lb3.sequences), l3) == [
-        kernel.encode(lb2.sequences | seqs("")),
-        kernel.encode(lb2.sequences | seqs("")),
-    ]
+    lb2_eps = frozenset(lb3.with_sequences(lb2.sequences | seqs("")).monomials.values())
+    assert kernel.branches(frozenset(lb3.monomials.values()), l3) == [lb2_eps, lb2_eps]
     # a covered set has an empty residual, and the empty set stays empty
-    kernel = Monomials(PAIR)
-    enc = kernel.encode
+    kernel, enc = encoder(PAIR)
     assert kernel.branches(enc(seqs("a c", "b d")), 0) == [enc(seqs("c")), enc(seqs("d"))]
     assert kernel.branches(frozenset(), 0) == [frozenset(), frozenset()]
 
@@ -236,10 +240,21 @@ def test_order_reading_recursions_match_reference(ss):
 
 
 def test_sequence_set_rejects_repeated_infoset():
-    with pytest.raises(GameError):
-        SequenceSet(seqs("a b"), PAIR)  # a and b are both I1 actions
-    with pytest.raises(GameError):
-        SequenceSet(seqs("a z"), PAIR)
+    base = SequenceSet(seqs("a c"), PAIR)
+    bit = base.universe.action_bit
+    assert [bit[x] for x in "abc"] == [1, 2, 4]
+    # "b b" sums to c's bit, a valid one-action monomial; "a b" holds both
+    # I1 actions; z is in no infoset.  Built directly or derived, each set
+    # names its first invalid sequence.
+    cases = {
+        "b b": "sequence 'b b' repeats information set 'I1'",
+        "a b": "sequence 'a b' repeats information set 'I1'",
+        "a z": "sequence uses unknown action 'z'",
+    }
+    for word, message in cases.items():
+        for build in (lambda s: SequenceSet(s, PAIR), base.with_sequences):
+            with pytest.raises(GameError, match=f"^{re.escape(message)}$"):
+                build(seqs(word))
 
 
 def test_derived_sets_are_validated():
@@ -309,8 +324,12 @@ def test_components_order_matches_sorted_buckets(ss):
 @settings(max_examples=300, deadline=None)
 def test_bitmask_lookups_match_definitions(ss):
     # a sequence's mask holds the first action bit of each infoset it touches
-    first = {a: ss.universe.action_bit[i.actions[0]] for i in ss.infosets for a in i.actions}
-    assert ss.masks == {s: sum(first[a] for a in s) for s in ss.sequences}
+    kernel = ss.universe
+    first = {a: kernel.action_bit[i.actions[0]] for i in ss.infosets for a in i.actions}
+    masks = {s: kernel.infoset_mask(m) for s, m in ss.monomials.items()}
+    assert masks == {s: sum(first[a] for a in s) for s in ss.sequences}
+    # a sequence's monomial holds its action bits
+    assert ss.monomials == {s: sum(kernel.action_bit[a] for a in s) for s in ss.sequences}
     used = {a for s in ss.sequences for a in s}
     touching = [
         info for info in ss.infosets
@@ -336,7 +355,7 @@ def test_sorted_sequences_follow_declaration_order(ss):
 def test_branch_outputs_are_valid_sets(ss):
     # every branch monomial is valid and divides a monomial of the set
     kernel = ss.universe
-    ms = kernel.encode(ss.sequences)
+    ms = frozenset(ss.monomials.values())
     for k in range(len(ss.infosets)):
         for q in kernel.branches(ms, k):
             for m in q:
@@ -350,17 +369,21 @@ def test_branch_outputs_are_valid_sets(ss):
 def test_monomial_kernel_matches_tuple_steps(ss):
     # FIVE has three actions per infoset, so masks take two folds
     kernel = ss.universe
-    ms = kernel.encode(ss.sequences)
-    assert set(kernel.components(ms)) == {kernel.encode(c.sequences) for c in components(ss)}
+    ms = frozenset(ss.monomials.values())
+    comps = {frozenset(c.monomials.values()) for c in components(ss)}
+    assert set(kernel.components(ms)) == comps
     # a monomial's folded infoset mask is its sequence's table-sum mask
-    bits = kernel.action_bit
-    assert {s: kernel.infoset_mask(sum(bits[a] for a in s)) for s in ss.sequences} == ss.masks
+    table = kernel.infoset_bit
+    masks = {s: kernel.infoset_mask(m) for s, m in ss.monomials.items()}
+    assert masks == {s: sum(table[a] for a in s) for s in ss.sequences}
     cover = covering_infoset(ss)
-    masks = [kernel.infoset_mask(m) for m in ms]
-    assert kernel.covering(masks) == (None if cover is None else ss.infosets.index(cover))
-    assert [ss.infosets[k] for k in kernel.present(masks)] == ss.present_infosets()
+    assert kernel.covering(ms) == (None if cover is None else ss.infosets.index(cover))
+    assert [ss.infosets[k] for k in kernel.present(ms)] == ss.present_infosets()
     for k, info in enumerate(ss.infosets):
-        want = [kernel.encode(q) for _, q in tuple_branches(ss.sequences, info)]
+        want = [
+            frozenset(ss.with_sequences(q).monomials.values())
+            for _, q in tuple_branches(ss.sequences, info)
+        ]
         assert kernel.branches(ms, k) == want
 
 
@@ -405,7 +428,7 @@ def test_components_partition_property(seed):
     assert sum(len(c) for c in comps) == len(ss)
     # quotients never retain the quotiented infoset
     kernel = ss.universe
-    ms = kernel.encode(ss.sequences)
+    ms = frozenset(ss.monomials.values())
     for k, info in enumerate(THREE_BINARY):
         block = sum(kernel.action_bit[a] for a in info.actions)
         for q in kernel.branches(ms, k):

@@ -16,9 +16,9 @@ from recall_forge.seqsets import (
     extract_histories,
     is_alr_set,
 )
+from recall_forge.oracles import salr_bruteforce_oracle
 from recall_forge.shuffle import (
     SalrResult,
-    salr_bruteforce_oracle,
     salr_witness,
     shuffle_structure,
 )
