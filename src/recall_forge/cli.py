@@ -20,7 +20,6 @@ import time
 from typing import Optional, Sequence as Seq
 
 from .docio import (
-    DocumentError,
     format_rational,
     parse_certificate,
     parse_game,
@@ -149,9 +148,6 @@ def cli_main(argv: Seq[str], stdout=None, stderr=None) -> int:
     except UsageError as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except DocumentError as exc:
-        stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except SizeLimitError as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_LIMIT
@@ -246,7 +242,6 @@ def _dispatch(args, stdout, stderr) -> int:
             game = gen_random(
                 FamilyParams(
                     family="random",
-                    n=1,
                     seed=args.seed,
                     depth=args.depth,
                     branching=args.branching,

@@ -20,12 +20,14 @@ smallest A-loss-recall span doubles with every extra infoset.
 
 Random games are seeded and reproducible; information sets merge only
 player nodes at the same depth with the same arity, which rules out
-absentmindedness by construction.
+absentmindedness by construction.  The A-loss-recall variant relabels
+such a tree breadth first, each node taking depth and history from its parent.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,6 +45,7 @@ from .model import (
     NodeId,
     PlayerNode,
     SizeLimitError,
+    one_set_divergence,
 )
 from .seqsets import Sequence, SequenceSet
 
@@ -50,16 +53,11 @@ from .seqsets import Sequence, SequenceSet
 @dataclass(frozen=True)
 class FamilyParams:
     family: str  # pennies-I | pennies-II | pennies-III | lowerbound | random
-    n: int = 1
     seed: int = 0
     depth: int = 4
     branching: int = 3
     players: int = 1
     merge_prob: float = 0.6
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise GameError("n must be positive")
 
 
 def _pennies_alice_sets(variant: str, n: int) -> list[tuple[str, list[int]]]:
@@ -178,8 +176,7 @@ def gen_random(params: FamilyParams) -> Game:
     chance: dict[NodeId, tuple[Fraction, ...]] = {}
     utility: dict[NodeId, Fraction] = {}
     counter = [0]
-    player_nodes: list[tuple[NodeId, int, int, str]] = []  # (id, depth, arity, owner)
-    raw_children: dict[NodeId, tuple[NodeId, ...]] = {}
+    player_nodes: list[tuple[NodeId, int, str, tuple[NodeId, ...]]] = []  # id, depth, owner, kids
 
     def fresh() -> NodeId:
         counter[0] += 1
@@ -201,35 +198,25 @@ def gen_random(params: FamilyParams) -> Game:
             chance[nid] = tuple(Fraction(w, total) for w in weights)
         else:
             owner = MAX if params.players == 1 else rng.choice((MAX, MIN))
-            raw_children[nid] = tuple(build(depth + 1) for _ in range(arity))
-            player_nodes.append((nid, depth, arity, owner))
+            kids = tuple(build(depth + 1) for _ in range(arity))
+            player_nodes.append((nid, depth, owner, kids))
         return nid
 
     root = build(0)
 
     # group same-depth same-arity same-owner nodes into information sets
     infosets: list[InformationSet] = []
-    assignment: dict[NodeId, str] = {}
-    groups: dict[tuple[int, int, str], list[str]] = {}
-    for nid, depth, arity, owner in player_nodes:
-        key = (depth, arity, owner)
-        existing = groups.setdefault(key, [])
+    groups: dict[tuple[int, int, str], list[InformationSet]] = {}
+    for nid, depth, owner, kids in player_nodes:
+        existing = groups.setdefault((depth, len(kids), owner), [])
         if existing and rng.random() < params.merge_prob:
-            assignment[nid] = rng.choice(existing)
+            info = rng.choice(existing)
         else:
             iid = f"I{len(infosets)}"
-            infosets.append(
-                InformationSet(iid, owner, tuple(f"x{iid}_{j}" for j in range(arity)))
-            )
-            existing.append(iid)
-            assignment[nid] = iid
-
-    for nid, depth, arity, owner in player_nodes:
-        iid = assignment[nid]
-        info = next(i for i in infosets if i.id == iid)
-        nodes[nid] = PlayerNode(
-            infoset=iid, children=tuple(zip(info.actions, raw_children[nid]))
-        )
+            info = InformationSet(iid, owner, tuple(f"x{iid}_{j}" for j in range(len(kids))))
+            infosets.append(info)
+            existing.append(info)
+        nodes[nid] = PlayerNode(infoset=info.id, children=tuple(zip(info.actions, kids)))
 
     structure = GameStructure(root=root, nodes=nodes, infosets=tuple(infosets))
     return Game(structure=structure, chance=chance, utility=utility)
@@ -238,10 +225,11 @@ def gen_random(params: FamilyParams) -> Game:
 def gen_random_alr(params: FamilyParams) -> Game:
     """Seeded random game whose (single) player has A-loss recall.
 
-    Same tree process as `gen_random`, but a node only joins an existing
-    information set when the A-loss condition survives: its history must
-    either equal a member's or first diverge from every member's at a
-    common earlier information set with two different actions.
+    Same tree process as `gen_random`, relabelled in one breadth-first
+    pass: each node inherits its depth and its relabelled history from
+    its parent, and a player node only joins an existing information set
+    of its depth and arity when `one_set_divergence` holds between its
+    history and every member's.
     """
     if params.players != 1:
         raise GameError("the A-loss-recall generator is one-player only")
@@ -249,85 +237,38 @@ def gen_random_alr(params: FamilyParams) -> Game:
     rng = random.Random(params.seed ^ 0x5EED)
     s = base.structure
 
-    player_nodes = [
-        nid for nid in s.preorder() if isinstance(s.nodes[nid], PlayerNode)
-    ]
-    hist: dict[NodeId, tuple[Action, ...]] = {}
+    nodes = {nid: n for nid, n in s.nodes.items() if not isinstance(n, PlayerNode)}
+    sets: list[tuple[InformationSet, int, list[tuple[Action, ...]]]] = []  # set, depth, histories
+    infoset_of: dict[Action, str] = {}
+    queue: deque[tuple[NodeId, int, tuple[Action, ...]]] = deque([(s.root, 0, ())])
+    while queue:
+        nid, depth, h = queue.popleft()
+        node = s.nodes[nid]
+        if isinstance(node, ChanceNode):
+            queue.extend((c, depth + 1, h) for c in node.children)
+        elif isinstance(node, PlayerNode):
+            arity = len(node.children)
+            candidates = [
+                (info, hists)
+                for info, d, hists in sets
+                if d == depth
+                and len(info.actions) == arity
+                and all(one_set_divergence(h, g, infoset_of) for g in hists)
+            ]
+            if candidates and rng.random() < params.merge_prob:
+                info, hists = rng.choice(candidates)
+            else:
+                iid = f"J{len(sets)}"
+                info = InformationSet(iid, MAX, tuple(f"y{iid}_{j}" for j in range(arity)))
+                hists = []
+                sets.append((info, depth, hists))
+                infoset_of.update(dict.fromkeys(info.actions, iid))
+            hists.append(h)
+            children = tuple(zip(info.actions, (c for _, c in node.children)))
+            nodes[nid] = PlayerNode(infoset=info.id, children=children)
+            queue.extend((c, depth + 1, h + (a,)) for a, c in children)
 
-    infosets: list[InformationSet] = []
-    members: dict[str, list[NodeId]] = {}
-    arity_of: dict[str, int] = {}
-    depth_of: dict[NodeId, int] = {}
-    for nid in player_nodes:
-        d = 0
-        cur = nid
-        while cur != s.root:
-            cur = s.parent_edge[cur][0]
-            d += 1
-        depth_of[nid] = d
-
-    def act_infoset(a: Action) -> str:
-        for i in infosets:
-            if a in i.actions:
-                return i.id
-        raise KeyError(a)
-
-    def alr_compatible(h1: tuple[Action, ...], h2: tuple[Action, ...]) -> bool:
-        if h1 == h2:
-            return True
-        k = 0
-        while k < len(h1) and k < len(h2) and h1[k] == h2[k]:
-            k += 1
-        if k >= len(h1) or k >= len(h2):
-            return False
-        return act_infoset(h1[k]) == act_infoset(h2[k])
-
-    nodes: dict[NodeId, Node] = {
-        nid: n for nid, n in s.nodes.items() if not isinstance(n, PlayerNode)
-    }
-    # walk top-down so parents are relabelled before children histories matter
-    for nid in sorted(player_nodes, key=lambda v: depth_of[v]):
-        old = s.nodes[nid]
-        assert isinstance(old, PlayerNode)
-        arity = len(old.children)
-        cur = nid
-        rev = []
-        while cur != s.root:
-            parent, _ = s.parent_edge[cur]
-            pnode = nodes.get(parent)
-            if isinstance(pnode, PlayerNode):
-                old_parent = s.nodes[parent]
-                assert isinstance(old_parent, PlayerNode)
-                idx = [c for _, c in old_parent.children].index(cur)
-                rev.append(pnode.children[idx][0])
-            cur = parent
-        h = tuple(reversed(rev))
-        hist[nid] = h
-
-        candidates = [
-            iid
-            for iid, ms in members.items()
-            if arity_of[iid] == arity
-            and all(alr_compatible(h, hist[m]) for m in ms)
-            and all(depth_of[m] == depth_of[nid] for m in ms)
-        ]
-        if candidates and rng.random() < params.merge_prob:
-            iid = rng.choice(candidates)
-        else:
-            iid = f"J{len(infosets)}"
-            infosets.append(
-                InformationSet(iid, MAX, tuple(f"y{iid}_{j}" for j in range(arity)))
-            )
-            members[iid] = []
-            arity_of[iid] = arity
-        members[iid].append(nid)
-        info = next(i for i in infosets if i.id == iid)
-        nodes[nid] = PlayerNode(
-            infoset=iid,
-            children=tuple(zip(info.actions, (c for _, c in old.children))),
-        )
-
-    structure = GameStructure(root=s.root, nodes=nodes, infosets=tuple(infosets))
+    structure = GameStructure(root=s.root, nodes=nodes, infosets=tuple(i for i, _, _ in sets))
     return Game(structure=structure, chance=base.chance, utility=base.utility)
 
 

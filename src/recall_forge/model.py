@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator, Mapping, Optional
 
 MAX = "max"
 MIN = "min"
@@ -324,6 +324,7 @@ def classify_recall(structure: GameStructure, player: str) -> RecallClass:
 
 
 def _classify(structure: GameStructure, player: str) -> RecallClass:
+    """Uncached `classify_recall`; `one_set_divergence` decides A-loss recall."""
     own_ids = {i.id for i in structure.infosets if i.owner == player}
     act_to_info = structure.infoset_of_action
 
@@ -341,13 +342,23 @@ def _classify(structure: GameStructure, player: str) -> RecallClass:
     if all(len(hs) <= 1 for hs in hist_sets.values()):
         return RecallClass.PFR
 
+    # In sorted order two histories fail the test only if an adjacent pair
+    # between them does, so the adjacent pairs decide it for all pairs.
     for hs in hist_sets.values():
-        for h, g in itertools.combinations(hs, 2):
-            k = 0
-            while k < len(h) and k < len(g) and h[k] == g[k]:
-                k += 1
-            if k >= len(h) or k >= len(g):
-                return RecallClass.NAM_NOT_ALR  # one is a prefix of the other
-            if act_to_info[h[k]] != act_to_info[g[k]]:
+        for h, g in itertools.pairwise(sorted(hs)):
+            if not one_set_divergence(h, g, act_to_info):
                 return RecallClass.NAM_NOT_ALR
     return RecallClass.ALR_NOT_PFR
+
+
+def one_set_divergence(
+    h: tuple[Action, ...], g: tuple[Action, ...], infoset_of: Mapping[Action, str]
+) -> bool:
+    """The A-loss-recall test on two histories of one information set:
+    true when they are equal or first diverge with two actions of one set
+    (`infoset_of` maps an action to its set's id), false when one is a
+    proper prefix of the other or they first diverge in two sets."""
+    for a, b in zip(h, g):
+        if a != b:
+            return infoset_of[a] == infoset_of[b]
+    return len(h) == len(g)

@@ -91,9 +91,8 @@ def test_lowerbound_rejects_nonpositive():
 
 def test_gen_random_is_deterministic():
     params = FamilyParams(family="random", seed=42, depth=4, branching=3)
-    digest = hashlib.sha256(serialize_game(gen_random(params)).encode()).hexdigest()
-    again = hashlib.sha256(serialize_game(gen_random(params)).encode()).hexdigest()
-    assert digest == again
+    digest = _digest(gen_random(params))
+    assert digest == _digest(gen_random(params))
     # pinned at first build; any change to the drawing procedure shows up here
     assert digest == GOLDEN_RANDOM_42
 
@@ -124,12 +123,45 @@ def test_gen_random_alr_class():
 def test_gen_random_bounds():
     with pytest.raises(SizeLimitError):
         gen_random(FamilyParams(family="random", seed=0, depth=9))
-    with pytest.raises(GameError):
-        FamilyParams(family="random", n=0)
 
 
 # recorded from the first build of the seeded generator
 GOLDEN_RANDOM_42 = "6665ff6a49f3ca0a0162b5a7a08e434d92f7874c692967fe9705bffc13d93478"
+
+
+def _digest(game):
+    return hashlib.sha256(serialize_game(game).encode()).hexdigest()
+
+
+# GOLDEN_RANDOM_42 has no player node; these pin the grouping into
+# information sets and the A-loss-recall relabelling
+@pytest.mark.parametrize(
+    "generate, params, digest",
+    [
+        (  # 44 player nodes in 25 sets
+            gen_random,
+            dict(seed=7, depth=6, branching=3),
+            "8ee051e6155e56911265326b9fb4686dad6c8a9c015f6bb2734dae9a77440e01",
+        ),
+        (  # 9 sets of both players
+            gen_random,
+            dict(seed=5, depth=5, branching=2, players=2),
+            "b16c6e1323b47c7d28841661528c8b7279898ec110bf4f54613611d3b927e53c",
+        ),
+        (  # 44 player nodes in 10 sets
+            gen_random_alr,
+            dict(seed=7, depth=6, branching=3, merge_prob=1.0),
+            "806351f248c83b2ceced65ad32f3be2b15d2015fbd3e06f636ec241e9bac8f82",
+        ),
+        (  # 11 sets
+            gen_random_alr,
+            dict(seed=3, depth=5, branching=3),
+            "595ea182c253cf004d11ec706b107c8352823c98c2319bb46f48916154917f08",
+        ),
+    ],
+)
+def test_random_generators_are_pinned(generate, params, digest):
+    assert _digest(generate(FamilyParams(family="random", **params))) == digest
 
 
 def test_gen_random_two_player():

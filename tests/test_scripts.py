@@ -1,11 +1,12 @@
 """Smoke tests: the scripts under scripts/ run against the current package,
-the benchmark tracer finds every function it wraps, and every public
-definition of the package, and every public method of its public classes,
-is used somewhere."""
+the benchmark tracer finds every function it wraps, the benchmark's
+workloads set up against the package, and every public definition of the
+package, and every public method of its public classes, is used somewhere."""
 
 from __future__ import annotations
 
 import ast
+import builtins
 import importlib
 import importlib.util
 import subprocess
@@ -33,13 +34,19 @@ def test_worked_examples_script():
     assert "== two players" in out
 
 
+def _perfbench_module(name, monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_tracer_targets_exist(monkeypatch):
     # `perfbench/run.py --trace 1` wraps every TARGETS name and dies with
     # an AttributeError on one that is gone
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
-    spec = importlib.util.spec_from_file_location("layertrace", ROOT / "perfbench" / "layertrace.py")
-    layertrace = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layertrace)
+    layertrace = _perfbench_module("layertrace", monkeypatch)
     missing = [
         f"{module}.{name}"
         for module, names in layertrace.TARGETS.items()
@@ -47,6 +54,16 @@ def test_tracer_targets_exist(monkeypatch):
         if not hasattr(importlib.import_module(f"{layertrace.PACKAGE}.{module}"), name)
     ]
     assert missing == []
+
+
+def test_benchmark_workloads_set_up(monkeypatch, tmp_path):
+    # each workload builds its inputs through names and keywords of the
+    # package, such as `FamilyParams(family=...)`; one that is gone fails here
+    workloads = _perfbench_module("workloads", monkeypatch)
+    for name, workload in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        assert workload().setup(1, workdir), name
 
 
 def _names(tree):
@@ -88,6 +105,12 @@ def test_every_public_definition_is_used():
         for node in cls.body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     ]
+    # a name that a builtin or a builtin type's method shares cannot be
+    # counted: a call of `.encode` may be `str.encode`
+    shared = set(dir(builtins)).union(
+        *map(dir, (str, bytes, int, float, list, tuple, dict, set, frozenset))
+    )
+    clashes = [label for label, node in definitions if node.name in shared]
     # a use inside the definition itself, such as a recursive call, does not count
     unused = [
         label
@@ -95,4 +118,5 @@ def test_every_public_definition_is_used():
         if used[node.name] == Counter(_names(node))[node.name]
     ]
     assert definitions
+    assert clashes == []
     assert unused == []
