@@ -103,24 +103,11 @@ class GameStructure:
         return out
 
     @cached_property
-    def parent_edge(self) -> dict[NodeId, tuple[NodeId, Optional[Action]]]:
-        """Child id -> (parent id, action label or None for chance edges)."""
-        out: dict[NodeId, tuple[NodeId, Optional[Action]]] = {}
-        for nid, node in self.nodes.items():
-            if isinstance(node, ChanceNode):
-                for c in node.children:
-                    out[c] = (nid, None)
-            elif isinstance(node, PlayerNode):
-                for a, c in node.children:
-                    out[c] = (nid, a)
-        return out
-
-    @cached_property
     def histories(self) -> dict[NodeId, tuple[Action, ...]]:
         """Node -> action labels on its root path, chance edges skipped.
 
-        Filled top-down in one preorder pass; like `parent_edge`, it
-        assumes the structure is not mutated after first use.
+        Filled top-down in one preorder pass; it assumes the structure is
+        not mutated after first use.
         """
         out: dict[NodeId, tuple[Action, ...]] = {self.root: ()}
         for nid in self.preorder():

@@ -7,8 +7,8 @@ Three routes, all exact:
 * a polynomial route for A-loss recall: a dynamic program over the
   player's own-history prefixes, one choice per (prefix, information
   set) pair, read off by one walk from the empty prefix;
-* the span pipeline for everything else: minimal span, payoff transfer,
-  then the A-loss-recall route on the transformed game.
+* the span route for everything else: the same dynamic program over the
+  minimal span's sequences, weighted from its certificate.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .model import (
     Action,
@@ -36,9 +36,9 @@ from .model import (
     classify_recall,
     history,
 )
-from .seqsets import extract_histories
+from .seqsets import Sequence, extract_histories
 from .span import minimal_span
-from .transform import transfer_payoffs
+from .transform import sequence_weights
 
 DEFAULT_MAX_PURE = 2**20
 MAX_PURE_ENV = "RECALL_FORGE_MAX_PURE"
@@ -194,70 +194,71 @@ def solve_alr(game: Game) -> SolveResult:
     diverge with different actions of a common earlier set, so a pure
     strategy reaches at most one own history of each set.  Hence each
     (own-history prefix, information set) pair takes, on its own, the
-    first action of maximal continuation value; one walk from the empty
-    prefix reads off the strategy, and a set it misses takes its first
-    action.  `method` is "refinement": splitting each set by own history
-    is the same decomposition.
+    first action of maximal continuation value (`_prefix_dp`).  `method`
+    is "refinement": splitting sets by own history is the same decomposition.
     """
     player = _require_one_player_nam(game)
     if not classify_recall(game.structure, player).is_alr:
         raise GameError("input does not have A-loss recall")
     s = game.structure
     # One player, so a node's history is the player's own history.
-    leaf_weight: dict[tuple[Action, ...], Fraction] = {}
-    played: dict[tuple[Action, ...], dict[str, None]] = {}  # prefix -> sets played next
-    for nid, h in s.histories.items():
-        node = s.nodes[nid]
-        if isinstance(node, Leaf):
-            weight = game.chance_weights[nid] * game.utility[nid]
-            leaf_weight[h] = leaf_weight.get(h, Fraction(0)) + weight
-        elif isinstance(node, PlayerNode):
-            played.setdefault(h, {})[node.infoset] = None
+    weight = sequence_weights(game, lambda leaf: (s.histories[leaf],))
+    nodes = ((h, s.nodes[nid]) for nid, h in s.histories.items())
+    played = ((h, node.infoset) for h, node in nodes if isinstance(node, PlayerNode))
+    return _prefix_dp(game, weight, played, "refinement")
 
-    best: dict[tuple[tuple[Action, ...], str], Action] = {}
 
-    def value(prefix: tuple[Action, ...]) -> Fraction:
-        total = leaf_weight.get(prefix, Fraction(0))
-        for iid in played.get(prefix, ()):
+def _prefix_dp(
+    game: Game, weight: dict[Sequence, Fraction], played: Iterable[tuple[Sequence, str]], method: str
+) -> SolveResult:
+    """First-maximum DP: `weight` maps an own-history prefix to the
+    chance-weighted payoff that ends there, and `played` pairs a prefix
+    with each information set played after it.  Prefixes are solved
+    longest first; one walk from the empty prefix reads off the strategy,
+    and a set it misses takes its first action."""
+    after: dict[Sequence, dict[str, None]] = {}
+    for prefix, iid in played:
+        after.setdefault(prefix, {})[iid] = None
+    info = game.structure.infoset_by_id
+    value = dict(weight)
+    best: dict[tuple[Sequence, str], Action] = {}
+    for prefix in sorted(after, key=len, reverse=True):
+        total = value.get(prefix, 0)
+        for iid in after[prefix]:
             best_v: Optional[Fraction] = None
-            for a in s.infoset_by_id[iid].actions:
-                v = value(prefix + (a,))
+            for a in info[iid].actions:
+                v = value.get(prefix + (a,), 0)
                 if best_v is None or v > best_v:
                     best_v, best[prefix, iid] = v, a
             total += best_v
-        return total
+        value[prefix] = total
 
-    total = value(())
     choice: dict[str, Action] = {}
-    stack: list[tuple[Action, ...]] = [()]
+    stack: list[Sequence] = [()]
     while stack:
         prefix = stack.pop()
-        for iid in played.get(prefix, ()):
+        for iid in after.get(prefix, ()):
             choice[iid] = best[prefix, iid]
             stack.append(prefix + (choice[iid],))
-    strategy = PureStrategy({i.id: choice.get(i.id, i.actions[0]) for i in s.infosets})
-    return SolveResult(value=total, strategy=strategy, method="refinement")
+    strategy = PureStrategy({i.id: choice.get(i.id, i.actions[0]) for i in game.structure.infosets})
+    return SolveResult(value=Fraction(value.get((), 0)), strategy=strategy, method=method)
 
 
 def solve(game: Game, method: str = "auto") -> SolveResult:
     """Dispatch: `bruteforce`, `span`, or `auto` (A-loss recall when the
-    structure already has it, otherwise the span pipeline)."""
+    structure already has it, otherwise the span route, which runs
+    `_prefix_dp` on the minimal span's sequences and the input's sets)."""
     player = _require_one_player_nam(game)
     if method == "bruteforce":
         return solve_bruteforce(game)
-    recall = classify_recall(game.structure, player)
-    if method == "auto" and recall.is_alr:
+    if method == "auto" and classify_recall(game.structure, player).is_alr:
         return solve_alr(game)
     if method not in ("auto", "span"):
         raise GameError(f"unknown method {method!r}")
 
-    certificate = minimal_span(extract_histories(game.structure))
-    transformed = transfer_payoffs(game, certificate)
-    inner = solve_alr(transformed.game)
-
-    # Pull the strategy back by infoset identity; the span keeps original
-    # infoset ids, so shared sets keep their chosen action.
-    choice: dict[str, Action] = {}
-    for info in game.structure.infosets:
-        choice[info.id] = inner.strategy.choice.get(info.id, info.actions[0])
-    return SolveResult(value=inner.value, strategy=PureStrategy(choice), method="span-pipeline")
+    s = game.structure
+    certificate = minimal_span(extract_histories(s))
+    weight = sequence_weights(game, lambda leaf: certificate.combinations[s.histories[leaf]])
+    span = certificate.span.sequences
+    played = ((seq[:k], s.infoset_of_action[a]) for seq in span for k, a in enumerate(seq))
+    return _prefix_dp(game, weight, played, "span-pipeline")

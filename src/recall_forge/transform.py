@@ -1,11 +1,12 @@
 """Turning span certificates into equivalent games.
 
-Payoffs move from a source game onto a span structure in one assignment
-step, so that both games induce the same payoff polynomial: chance in the
-rebuilt tree is uniform, each source leaf adds its chance-weighted payoff
-to every target sequence it generates, and each target leaf receives its
-sequence's sum divided by its own chance weight.  The uniform choice is
-value-neutral because the division cancels it.
+One weight step, `sequence_weights`, gives each target sequence the
+chance weight x payoff of the source leaves that generate it; the span
+route of `solver.solve` reads these weights directly.  Payoffs move onto
+a span structure through the same step, so both games induce the same
+payoff polynomial: chance in the rebuilt tree is uniform, and each target
+leaf receives its sequence's weight divided by its own chance weight,
+which cancels the uniform choice.
 
 Two-player composition stacks one player's span tree on top of the
 other's: a copy of the second tree replaces every leaf of the first, with
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .model import (
     MAX,
@@ -38,8 +39,6 @@ from .span import SpanCertificate, structure_from_sequences
 @dataclass(frozen=True)
 class TransformedGame:
     game: Game
-    provenance: SpanCertificate
-    provenance_min: Optional[SpanCertificate] = None
 
 
 def uniform_chance(structure: GameStructure) -> dict[NodeId, tuple[Fraction, ...]]:
@@ -51,21 +50,27 @@ def uniform_chance(structure: GameStructure) -> dict[NodeId, tuple[Fraction, ...
     return out
 
 
+def sequence_weights(
+    source: Game, generated: Callable[[NodeId], Iterable[Sequence]]
+) -> dict[Sequence, Fraction]:
+    """Each sequence -> the sum of chance weight x payoff over the source
+    leaves that `generated` maps to it."""
+    out: dict[Sequence, Fraction] = {}
+    for leaf in source.structure.leaves():
+        value = source.chance_weights[leaf] * source.utility[leaf]
+        for seq in generated(leaf):
+            out[seq] = out.get(seq, 0) + value
+    return out
+
+
 def _assign_payoffs(
     source: Game,
     target: GameStructure,
     generated: Callable[[NodeId], Iterable[Sequence]],
 ) -> Game:
-    """`target` with uniform chance and the payoffs of `source`.
-
-    `generated` maps each source leaf to the target histories it
-    generates.  Leaves that share a history all contribute.
-    """
-    bucket: dict[Sequence, Fraction] = {}
-    for leaf in source.structure.leaves():
-        value = source.chance_weight(leaf) * source.utility[leaf]
-        for seq in generated(leaf):
-            bucket[seq] = bucket.get(seq, 0) + value
+    """`target` with uniform chance and the payoffs of `source`, where
+    `generated` is as in `sequence_weights`."""
+    bucket = sequence_weights(source, generated)
     chance = uniform_chance(target)
     weights = Game(structure=target, chance=chance, utility={}).chance_weights
     utility = {
@@ -93,7 +98,7 @@ def transfer_payoffs(source: Game, certificate: SpanCertificate) -> TransformedG
     target = structure_from_sequences(certificate.span)
     histories = source.structure.histories
     game = _assign_payoffs(source, target, lambda leaf: certificate.combinations[histories[leaf]])
-    return TransformedGame(game=game, provenance=certificate)
+    return TransformedGame(game=game)
 
 
 def _graft(top: GameStructure, bottom: GameStructure, infosets) -> GameStructure:
@@ -150,4 +155,4 @@ def compose_two_player(
         return [m + v for m in maxes for v in mins]
 
     game = _assign_payoffs(source, composed, generated)
-    return TransformedGame(game=game, provenance=span_max, provenance_min=span_min)
+    return TransformedGame(game=game)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import strategies as st
@@ -64,6 +65,20 @@ class TreeBuilder:
     def game(self, root: int, infosets) -> Game:
         structure = GameStructure(root=root, nodes=self.nodes, infosets=tuple(infosets))
         return Game(structure=structure, chance=self.chance, utility=self.utility)
+
+
+def parent_edges(structure: GameStructure) -> dict[int, tuple[int, Optional[str]]]:
+    """Child id -> (parent id, action label or None for a chance edge), the
+    table the reference walks climb to the root, apart from `histories`."""
+    out = {}
+    for nid, node in structure.nodes.items():
+        if isinstance(node, ChanceNode):
+            for c in node.children:
+                out[c] = (nid, None)
+        elif isinstance(node, PlayerNode):
+            for a, c in node.children:
+                out[c] = (nid, a)
+    return out
 
 
 def player_chain(depth: int) -> Game:

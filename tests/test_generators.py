@@ -24,6 +24,8 @@ from recall_forge.generators import (
 )
 from recall_forge.solver import solve_bruteforce
 
+from conftest import parent_edges
+
 
 def test_pennies_shapes():
     game = gen_pennies("I", 3)
@@ -43,9 +45,10 @@ def test_pennies_refinement_chain():
         games = {v: gen_pennies(v, n) for v in ("I", "II", "III")}
         node_sets = {}
         for v, game in games.items():
+            parents = parent_edges(game.structure)
             node_sets[v] = [
                 frozenset(
-                    tuple(sorted(str(x) for x in _path(game.structure, m)))
+                    tuple(sorted(str(x) for x in _path(game.structure, parents, m)))
                     for m in game.structure.members(i.id)
                 )
                 for i in game.structure.infosets
@@ -55,11 +58,11 @@ def test_pennies_refinement_chain():
                 assert any(members <= bigger for bigger in node_sets[coarse])
 
 
-def _path(structure, nid):
+def _path(structure, parents, nid):
     # node identity across variants: the (die, moves) coordinates
     out = []
     while nid != structure.root:
-        parent, action = structure.parent_edge[nid]
+        parent, action = parents[nid]
         pnode = structure.nodes[parent]
         if action is None:
             out.append(pnode.children.index(nid))

@@ -23,7 +23,7 @@ from recall_forge.polynomials import payoff_polynomial
 from recall_forge.seqsets import extract_histories
 from recall_forge.span import realize_sequence_set
 
-from conftest import TreeBuilder, player_chain
+from conftest import TreeBuilder, parent_edges, player_chain
 
 
 def test_generator_output_is_valid():
@@ -131,12 +131,12 @@ def test_validate_game_bad_distribution():
     assert any("sum" in p for p in validate_game(game))
 
 
-def _root_walk_history(structure, node, player=None):
-    """Reference history: walk `parent_edge` from the node up to the root."""
+def _root_walk_history(structure, parents, node, player=None):
+    """Reference history: walk `parents` from the node up to the root."""
     rev = []
     nid = node
     while nid != structure.root:
-        parent, action = structure.parent_edge[nid]
+        parent, action = parents[nid]
         if action is not None:
             owner = structure.infoset_by_id[structure.nodes[parent].infoset].owner
             if player is None or owner == player:
@@ -145,13 +145,13 @@ def _root_walk_history(structure, node, player=None):
     return tuple(reversed(rev))
 
 
-def _root_walk_chance_weight(game, node):
+def _root_walk_chance_weight(game, parents, node):
     """Reference chance weight: the product of chance edges up to the root."""
     s = game.structure
     w = Fraction(1)
     nid = node
     while nid != s.root:
-        parent, _ = s.parent_edge[nid]
+        parent, _ = parents[nid]
         pnode = s.nodes[parent]
         if isinstance(pnode, ChanceNode):
             w *= game.chance[parent][pnode.children.index(nid)]
@@ -163,6 +163,7 @@ def _naive_recall(structure, player):
     """Definitional reimplementation used only as a cross-check here."""
     own = {i.id for i in structure.infosets if i.owner == player}
     act_info = structure.infoset_of_action
+    parents = parent_edges(structure)
 
     paths = {}
     for nid in structure.preorder():
@@ -175,13 +176,13 @@ def _naive_recall(structure, player):
         for u in members:
             cur = u
             while cur != structure.root:
-                cur = structure.parent_edge[cur][0]
+                cur = parents[cur][0]
                 pn = structure.nodes[cur]
                 if isinstance(pn, PlayerNode) and pn.infoset == iid:
                     return RecallClass.ABSENTMINDED
 
     hists = {
-        iid: {_root_walk_history(structure, u, player) for u in members}
+        iid: {_root_walk_history(structure, parents, u, player) for u in members}
         for iid, members in paths.items()
     }
     if all(len(hs) == 1 for hs in hists.values()):
@@ -262,11 +263,12 @@ def test_path_tables_match_root_walks():
     count = 0
     for game in _path_data_inputs():
         s = game.structure
+        parents = parent_edges(s)
         assert validate_game(game) == []
         for nid in s.nodes:
             for player in (None, MAX, MIN):
-                assert history(s, nid, player) == _root_walk_history(s, nid, player)
-            assert game.chance_weight(nid) == _root_walk_chance_weight(game, nid)
+                assert history(s, nid, player) == _root_walk_history(s, parents, nid, player)
+            assert game.chance_weight(nid) == _root_walk_chance_weight(game, parents, nid)
         count += 1
     assert count == 15 + 6 + 80 + 1
 

@@ -34,7 +34,7 @@ from recall_forge.solver import (
 from recall_forge.span import minimal_span, structure_from_sequences
 from recall_forge.transform import transfer_payoffs
 
-from conftest import build_shuffle_demo, build_span_demo, seqs, strategy_point, TreeBuilder
+from conftest import build_shuffle_demo, build_span_demo, player_chain, seqs, strategy_point, TreeBuilder
 
 
 def test_bruteforce_pennies_one():
@@ -210,11 +210,11 @@ def test_shuffle_demo_with_pennies_payoffs():
 
 @pytest.mark.parametrize(
     "variant, n, method, structures",
-    [("III", 8, "span-pipeline", 2), ("I", 3, "refinement", 1)],
+    [("III", 8, "span-pipeline", 1), ("I", 3, "refinement", 1)],
 )
 def test_solve_validates_each_structure_once(monkeypatch, variant, n, method, structures):
-    # the span route classifies the source and the span structure, the
-    # refinement route the source only; each is validated once
+    # both routes classify the source only, once; the span route builds
+    # no span structure
     import recall_forge.model as model
 
     game = gen_pennies(variant, n)
@@ -348,9 +348,20 @@ def test_solve_alr_matches_refinement_route():
     assert mismatches == []
 
 
-@pytest.mark.parametrize("target", ["pennies I n=5", "span of pennies III n=3"])
+@pytest.mark.parametrize(
+    "target", ["pennies I n=5", "span of pennies III n=3", "span route on pennies III n=8"]
+)
 def test_solve_alr_builds_no_game(monkeypatch, target):
-    game = gen_pennies("I", 5) if target == "pennies I n=5" else _span_target(gen_pennies("III", 3))
+    # once `minimal_span` returns, the span route builds nothing more
+    import recall_forge.solver as solver
+
+    run = solve_alr
+    if target == "pennies I n=5":
+        game = gen_pennies("I", 5)
+    elif target == "span of pennies III n=3":
+        game = _span_target(gen_pennies("III", 3))
+    else:
+        game, run = gen_pennies("III", 8), lambda g: solve(g, "span")
     built = []
     for cls in (GameStructure, InformationSet, Game):
         real = cls.__init__
@@ -360,5 +371,54 @@ def test_solve_alr_builds_no_game(monkeypatch, target):
             _real(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counting)
-    solve_alr(game)
+
+    certificates = []
+
+    def spanned(ss, _real=solver.minimal_span):
+        certificates.append(_real(ss))
+        built.clear()
+        return certificates[-1]
+
+    monkeypatch.setattr(solver, "minimal_span", spanned)
+    run(game)
     assert built == []
+    assert len(certificates) == (run is not solve_alr)
+
+
+def _transfer_route(game):
+    """Value and choices of the span route that rebuilt the span as a game
+    with `transfer_payoffs`, solved that game with `solve_alr` and pulled
+    the choices back by information set id; the reference for `solve`'s
+    span route."""
+    inner = solve_alr(_span_target(game))
+    choice = {i.id: inner.strategy.choice.get(i.id, i.actions[0]) for i in game.structure.infosets}
+    return inner.value, choice
+
+
+def _span_route_cases():
+    for variant in ("II", "III"):
+        for n in range(2, 11):
+            yield f"pennies {variant} n={n}", gen_pennies(variant, n)
+    for seed in range(200):
+        game = gen_random(FamilyParams(family="random", seed=seed, depth=4, branching=3))
+        if _pure_count(game) <= 2**12:
+            yield f"random seed {seed}", game
+
+
+def test_solve_matches_transfer_route():
+    # `auto` keeps the A-loss-recall route on inputs that have A-loss recall
+    mismatches = []
+    for name, game in _span_route_cases():
+        span = _transfer_route(game)
+        alr = classify_recall(game.structure, MAX).is_alr
+        for method, (value, choice) in (("span", span), ("auto", _refinement_route(game) if alr else span)):
+            result = solve(game, method)
+            if (result.value, list(result.strategy.choice.items())) != (value, list(choice.items())):
+                mismatches.append(f"{name} {method}")
+    assert mismatches == []
+
+
+def test_solve_deep_chain_without_recursion():
+    # 2,000 levels: the prefix DP runs longest prefix first, without recursion
+    result = solve(player_chain(2000))
+    assert (result.value, result.method) == (2000, "refinement")
