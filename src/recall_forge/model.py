@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 MAX = "max"
 MIN = "min"
@@ -195,8 +196,8 @@ def validate(structure: GameStructure) -> list[str]:
     exceptions, so callers can report all problems at once.
     """
     out: list[str] = []
-    ids = [i.id for i in structure.infosets]
-    for iid in sorted({i for i in ids if ids.count(i) > 1}):
+    counts = Counter(i.id for i in structure.infosets)
+    for iid in sorted(i for i, n in counts.items() if n > 1):
         out.append(f"duplicate information set id {iid!r}")
 
     seen_action: dict[Action, str] = {}
@@ -301,17 +302,16 @@ def classify_recall(structure: GameStructure, player: str) -> RecallClass:
 
     Absentmindedness wins over everything: a node sharing an information
     set with a strict ancestor.  Otherwise perfect recall means one
-    history per information set, and A-loss recall means any two
-    histories at a set first diverge with two distinct actions of a
-    common earlier information set.  A player without information sets
-    has perfect recall.  The structure is validated and classified once;
-    later calls read the result.
+    history per information set, and A-loss recall is the rule
+    `a_loss_recall` on the player's own histories at each of its sets.
+    A player without information sets has perfect recall.  The structure
+    is validated and classified once; later calls read the result.
     """
     return structure.recall_classes.get(player, RecallClass.PFR)
 
 
 def _classify(structure: GameStructure, player: str) -> RecallClass:
-    """Uncached `classify_recall`; `one_set_divergence` decides A-loss recall."""
+    """Uncached `classify_recall`; `a_loss_recall` decides A-loss recall."""
     own_ids = {i.id for i in structure.infosets if i.owner == player}
     act_to_info = structure.infoset_of_action
 
@@ -328,14 +328,23 @@ def _classify(structure: GameStructure, player: str) -> RecallClass:
 
     if all(len(hs) <= 1 for hs in hist_sets.values()):
         return RecallClass.PFR
+    if a_loss_recall(hist_sets.values(), act_to_info):
+        return RecallClass.ALR_NOT_PFR
+    return RecallClass.NAM_NOT_ALR
 
-    # In sorted order two histories fail the test only if an adjacent pair
-    # between them does, so the adjacent pairs decide it for all pairs.
-    for hs in hist_sets.values():
-        for h, g in itertools.pairwise(sorted(hs)):
-            if not one_set_divergence(h, g, act_to_info):
-                return RecallClass.NAM_NOT_ALR
-    return RecallClass.ALR_NOT_PFR
+
+def a_loss_recall(
+    reaching: Iterable[Iterable[tuple[Action, ...]]], infoset_of: Mapping[Action, str]
+) -> bool:
+    """The A-loss-recall rule (Kaneko & Kline 1995), given the histories
+    that reach each information set, one collection per set: any two of
+    one collection first diverge with two actions of one common set.
+
+    In sorted order two histories fail `one_set_divergence` only if an
+    adjacent pair between them does, so the adjacent pairs decide it.
+    """
+    pairs = (pair for hs in reaching for pair in itertools.pairwise(sorted(hs)))
+    return all(one_set_divergence(h, g, infoset_of) for h, g in pairs)
 
 
 def one_set_divergence(

@@ -14,18 +14,20 @@ minimal-span search, the shuffle depth and shuffled-A-loss-recall
 detection) start from those monomials and run through the kernel's one
 component step, covering infoset and branch step.
 
-The recursions that read the order of actions (the A-loss-recall test,
-strongly branching subsets and `span.realize_sequence_set`) share one
-first-action split, `_lead`: it groups a set's sequences by the infoset
-of their first action and each action by its continuations.  They recurse
-on plain frozensets of suffixes of the validated input.  So no recursion
-node, order-free or not, builds or validates a `SequenceSet`.
+The recursions that read the order of actions (strongly branching
+subsets and `span.realize_sequence_set`) share one first-action split,
+`_lead`: it groups a set's sequences by the infoset of their first action
+and each action by its continuations.  They recurse on plain frozensets
+of suffixes of the validated input, so no recursion node builds or
+validates a `SequenceSet`.  The A-loss-recall test is a loop: it applies
+`model.a_loss_recall`, the rule that classifies game trees, to the
+prefixes that reach each infoset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NoReturn, Optional
+from typing import Iterable, NoReturn, Optional
 
 from .model import (
     Action,
@@ -33,6 +35,7 @@ from .model import (
     GameStructure,
     InformationSet,
     RecallClass,
+    a_loss_recall,
     classify_recall,
     history,
 )
@@ -310,42 +313,23 @@ def _lead(
 
 
 def is_alr_set(ss: SequenceSet) -> bool:
-    """Recursive A-loss-recall test on a sequence set.
+    """A-loss-recall test on a sequence set: the rule `model.a_loss_recall`
+    on the prefixes that reach each information set.
 
-    The empty set and {eps} qualify.  Otherwise the sequences starting in
-    one infoset are connected, and these groups (with epsilon on its own)
-    are the components exactly when they touch pairwise disjoint
-    infosets.  So a set qualifies iff its groups touch disjoint infosets
-    and every per-action continuation of every group qualifies.
+    The prefix `s[:k]` reaches the infoset of `s[k]`.  Each sequence's
+    prefixes are walked longest first, and the walk stops at the first
+    one already recorded: the sequence that recorded it shares every
+    shorter prefix, and recorded those too.
     """
-    universe = ss.universe
-    memo: dict[frozenset[Sequence], Optional[int]] = {}
-
-    def rec(seqs: frozenset[Sequence]) -> Optional[int]:
-        """The lowest bits of the infosets the set touches, or None when
-        it does not qualify."""
-        if seqs in memo:
-            return memo[seqs]
-        memo[seqs] = None  # until every group qualifies
-        used = 0
-        for low, conts in _lead(seqs, universe).items():
-            group = low
-            for cont in conts.values():
-                got = rec(cont)
-                if got is None:
-                    return None
-                group |= got
-            if used & group:
-                return None
-            used |= group
-        memo[seqs] = used
-        return used
-
-    result = rec(ss.sequences) is not None
-    # `rec` refers to itself, so without this the memo would live on
-    # until the cycle collector runs
-    memo.clear()
-    return result
+    infoset_of = ss.universe.infoset_id
+    reaching: dict[str, set[Sequence]] = {}
+    for s in ss.sequences:
+        for k in range(len(s) - 1, -1, -1):
+            hs, prefix = reaching.setdefault(infoset_of[s[k]], set()), s[:k]
+            if prefix in hs:
+                break
+            hs.add(prefix)
+    return a_loss_recall(reaching.values(), infoset_of)
 
 
 def is_strongly_branching(ss: SequenceSet) -> bool:
@@ -367,48 +351,38 @@ def find_strongly_branching_subset(ss: SequenceSet) -> Optional[SequenceSet]:
 
     Deterministic: an epsilon member is preferred, then infosets are
     tried in declaration order and the first full branch wins.  The
-    recursion is `_branching_search`, which `span.verify_span` runs too.
+    recursion is `_branching`, which `span.verify_span` runs too.
     """
-    memo: dict[frozenset[Sequence], Optional[frozenset[Sequence]]] = {}
-    got = _branching_search(ss.infosets, ss.universe, memo)(ss.sequences)
-    memo.clear()  # see is_alr_set
-    if got is None:
-        return None
-    return ss.with_sequences(got)
+    got = _branching(ss.sequences, ss.infosets, ss.universe, {})
+    return None if got is None else ss.with_sequences(got)
 
 
-def _branching_search(
+def _branching(
+    seqs: frozenset[Sequence],
     infosets: tuple[InformationSet, ...],
     universe: Monomials,
     memo: dict[frozenset[Sequence], Optional[frozenset[Sequence]]],
-) -> Callable[[frozenset[Sequence]], Optional[frozenset[Sequence]]]:
-    """The strongly-branching recursion over one universe.
-
-    The returned function maps a set of subsequences of validated
-    sequences to the strongly branching subset that
-    `find_strongly_branching_subset` picks, or None.  The answer depends
-    only on the set, so every set searched with one `memo` shares its
-    answers; the caller clears the memo when done.
+) -> Optional[frozenset[Sequence]]:
+    """The strongly-branching recursion over one universe: the strongly
+    branching subset of `seqs` (subsequences of validated sequences) that
+    `find_strongly_branching_subset` picks, or None.  Answers depend only
+    on the set, so every set searched with one `memo` shares them.
     """
-
-    def rec(seqs: frozenset[Sequence]) -> Optional[frozenset[Sequence]]:
-        if EPSILON in seqs:
-            return frozenset({EPSILON})
-        if seqs in memo:
-            return memo[seqs]
-        memo[seqs] = None  # until a full branch is found
-        groups = _lead(seqs, universe)
-        for low in sorted(groups):  # declaration order
-            conts = groups[low]
-            picked: list[Sequence] = []
-            for a in infosets[universe.position[low]].actions:
-                sub = rec(conts[a]) if a in conts else None
-                if sub is None:
-                    break
-                picked.extend((a,) + t for t in sub)
-            else:
-                memo[seqs] = frozenset(picked)
-                break
+    if EPSILON in seqs:
+        return frozenset({EPSILON})
+    if seqs in memo:
         return memo[seqs]
-
-    return rec
+    memo[seqs] = None  # until a full branch is found
+    groups = _lead(seqs, universe)
+    for low in sorted(groups):  # declaration order
+        conts = groups[low]
+        picked: list[Sequence] = []
+        for a in infosets[universe.position[low]].actions:
+            sub = _branching(conts[a], infosets, universe, memo) if a in conts else None
+            if sub is None:
+                break
+            picked.extend((a,) + t for t in sub)
+        else:
+            memo[seqs] = frozenset(picked)
+            break
+    return memo[seqs]

@@ -15,10 +15,12 @@ step, dropping epsilon) reads only which actions a sequence holds, and
 the span's sequences are built as `(a,) + t` from the infosets fixed on
 the way down.  So a subproblem's answer depends only on its set of
 monomials, and sequences that differ only in action order are one
-subproblem.  The verifier, the A-loss-recall test and
-`realize_sequence_set` read the first action of each sequence, so order
-matters to them: they recurse on tuples through the one first-action
-split of `seqsets`, and build no `SequenceSet` per recursion node.
+subproblem.  Both searches run the one memoized recursion
+`_memo_search` and differ only in how they join components and answer a
+connected set.  The verifier and `realize_sequence_set` read the first
+action of each sequence, so order matters to them: they recurse on
+tuples through the one first-action split of `seqsets`, and build no
+`SequenceSet` per recursion node.
 
 The verifier is independent of the construction: it checks that the
 candidate has A-loss recall, then for each original sequence s it finds
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, TypeVar
 
 from .model import (
     Action,
@@ -51,7 +53,7 @@ from .seqsets import (
     EPSILON,
     Sequence,
     SequenceSet,
-    _branching_search,
+    _branching,
     _lead,
     is_alr_set,
 )
@@ -100,11 +102,45 @@ def canonical_full_span(infosets: Iterable[InformationSet]) -> SequenceSet:
 
 _EPSILON_ONLY = frozenset({0})  # the monomial of the empty sequence
 
+T = TypeVar("T")
 
-def _strip_epsilon(ms: frozenset[int]) -> frozenset[int]:
-    if 0 in ms and len(ms) > 1:
-        return ms - {0}
-    return ms
+
+def _memo_search(
+    ss: SequenceSet,
+    base: tuple[T, T],
+    join: Callable[..., T],
+    connected: Callable[[frozenset[int], Callable[[frozenset[int]], T]], T],
+    stats: Optional[SpanStats] = None,
+) -> T:
+    """The memoized recursion of the span search and the shuffle depth,
+    on the set's monomials.  Epsilon is dropped from any larger set; the
+    empty set and {eps} answer `base[0]` and `base[1]`; components answer
+    `join(*answers)`; a connected set answers `connected(ms, rec)`, where
+    `rec` answers its branches.  `stats` counts subproblems and memo hits.
+    """
+    kernel = ss.universe
+    memo: dict[frozenset[int], T] = {}
+
+    def rec(ms: frozenset[int]) -> T:
+        if 0 in ms and len(ms) > 1:
+            ms = ms - _EPSILON_ONLY
+        if ms <= _EPSILON_ONLY:
+            return base[len(ms)]
+        got = memo.get(ms)
+        if got is not None:
+            if stats:
+                stats.lookups += 1
+            return got
+        if stats:
+            stats.subproblems += 1
+        comps = kernel.components(ms)
+        memo[ms] = got = join(*map(rec, comps)) if len(comps) > 1 else connected(ms, rec)
+        return got
+
+    try:
+        return rec(frozenset(ss.monomials.values()))
+    finally:
+        del rec  # `rec` refers to itself; dropping it frees it and the memo now
 
 
 def _minimal_span_set(ss: SequenceSet, stats: Optional[SpanStats] = None) -> frozenset[Sequence]:
@@ -116,40 +152,22 @@ def _minimal_span_set(ss: SequenceSet, stats: Optional[SpanStats] = None) -> fro
     sequences are built.
     """
     kernel = ss.universe
-    memo: dict[frozenset[int], frozenset[Sequence]] = {}
 
-    def rec(ms: frozenset[int]) -> frozenset[Sequence]:
-        ms = _strip_epsilon(ms)
-        if ms <= _EPSILON_ONLY:
-            return frozenset({EPSILON}) if ms else frozenset()
-        got = memo.get(ms)
-        if got is not None:
-            if stats:
-                stats.lookups += 1
-            return got
-        if stats:
-            stats.subproblems += 1
-        comps = kernel.components(ms)
-        if len(comps) > 1:
-            result = frozenset().union(*map(rec, comps))
-        else:
-            cover = kernel.covering(ms)
-            best: list[tuple[Action, frozenset[Sequence]]] = []
-            best_size = -1
-            for k in [cover] if cover is not None else kernel.present(ms):
-                spans = []  # a loop, not a comprehension: one stack frame per level
-                for a, q in zip(ss.infosets[k].actions, kernel.branches(ms, k)):
-                    spans.append((a, rec(q)))
-                size = sum(len(t) for _, t in spans)
-                if best_size < 0 or size < best_size:  # the first smallest wins ties
-                    best, best_size = spans, size
-            result = frozenset((a,) + t for a, span in best for t in span)
-        memo[ms] = result
-        return result
+    def connected(ms, rec):
+        cover = kernel.covering(ms)
+        best: list[tuple[Action, frozenset[Sequence]]] = []
+        best_size = -1
+        for k in [cover] if cover is not None else kernel.present(ms):
+            spans = []  # a loop, not a comprehension: no extra stack frame per level
+            for a, q in zip(ss.infosets[k].actions, kernel.branches(ms, k)):
+                spans.append((a, rec(q)))
+            size = sum(len(t) for _, t in spans)
+            if best_size < 0 or size < best_size:  # the first smallest wins ties
+                best, best_size = spans, size
+        return frozenset((a,) + t for a, span in best for t in span)
 
-    result = rec(frozenset(ss.monomials.values()))
-    memo.clear()  # see seqsets.is_alr_set
-    return result
+    base = (frozenset(), frozenset({EPSILON}))  # the spans of {} and {eps}
+    return _memo_search(ss, base, frozenset().union, connected, stats)
 
 
 def minimal_span(ss: SequenceSet, stats: Optional[SpanStats] = None) -> SpanCertificate:
@@ -171,32 +189,18 @@ def shuffle_depth(ss: SequenceSet) -> int:
     monomials, like the span search.
     """
     kernel = ss.universe
-    memo: dict[frozenset[int], int] = {}
 
-    def rec(ms: frozenset[int]) -> int:
-        ms = _strip_epsilon(ms)
-        if ms <= _EPSILON_ONLY:
-            return 0
-        got = memo.get(ms)
-        if got is not None:
-            return got
-        comps = kernel.components(ms)
-        if len(comps) > 1:
-            ans = max(map(rec, comps))
-        else:
-            cover = kernel.covering(ms)
-            if cover is not None and not any(map(rec, kernel.branches(ms, cover))):
-                ans = 0
+    def connected(ms, rec):
+        cover = kernel.covering(ms)
+        if cover is not None:
+            for q in kernel.branches(ms, cover):  # a call from C costs two levels of depth
+                if rec(q):
+                    break
             else:
-                ans = 1 + min(
-                    max(map(rec, kernel.branches(ms, k))) for k in kernel.present(ms)
-                )
-        memo[ms] = ans
-        return ans
+                return 0
+        return 1 + min(max(map(rec, kernel.branches(ms, k))) for k in kernel.present(ms))
 
-    result = rec(frozenset(ss.monomials.values()))
-    memo.clear()  # see seqsets.is_alr_set
-    return result
+    return _memo_search(ss, (0, 0), max, connected)
 
 
 def verify_span(original: SequenceSet, candidate: SequenceSet) -> SpanCertificate:
@@ -237,7 +241,6 @@ def _generator_sets(
     bit = candidate.universe.action_bit
     coded = [(candidate.monomials[c], c) for c in candidate.sorted_sequences()]
     memo: dict[frozenset[Sequence], Optional[frozenset[Sequence]]] = {}
-    branching = _branching_search(candidate.infosets, candidate.universe, memo)
     combos: dict[Sequence, frozenset[Sequence]] = {}
     missing: Optional[Sequence] = None
     for s in original.sorted_sequences():
@@ -250,12 +253,11 @@ def _generator_sets(
         for cm, c in coded:
             if cm & m == m:
                 source.setdefault(tuple(itertools.filterfalse(held, c)), c)
-        found = branching(frozenset(source))
+        found = _branching(frozenset(source), candidate.infosets, candidate.universe, memo)
         if found is None:
             missing = s
             break
         combos[s] = frozenset(map(source.__getitem__, found))
-    memo.clear()  # see seqsets.is_alr_set
     return combos, missing
 
 

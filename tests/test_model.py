@@ -20,7 +20,7 @@ from recall_forge.model import (
 from recall_forge.docio import structure_as_game
 from recall_forge.generators import FamilyParams, gen_lowerbound, gen_pennies, gen_random
 from recall_forge.polynomials import payoff_polynomial
-from recall_forge.seqsets import extract_histories
+from recall_forge.seqsets import extract_histories, is_alr_set
 from recall_forge.span import realize_sequence_set
 
 from conftest import TreeBuilder, parent_edges, player_chain
@@ -54,6 +54,17 @@ def test_validate_flags_reused_action_label():
     )
     problems = validate(game.structure)
     assert any("'H'" in p for p in problems)
+
+
+def test_validate_reports_each_duplicate_id_once():
+    # I2 and I1 are each declared twice: one problem per id, in sorted order
+    b = TreeBuilder()
+    ids = ("I2", "I1", "I2", "I1", "I3")
+    declared = [InformationSet(iid, MAX, (f"a{k}",)) for k, iid in enumerate(ids)]
+    assert validate(b.game(b.leaf(), declared).structure) == [
+        "duplicate information set id 'I1'",
+        "duplicate information set id 'I2'",
+    ]
 
 
 def test_history_skips_chance_and_restricts(perfect_recall_demo):
@@ -282,6 +293,7 @@ def test_deep_player_chain_without_recursion():
 
     assert classify_recall(structure, MAX) is RecallClass.PFR
     assert len(extract_histories(structure)) == depth + 1
+    assert is_alr_set(extract_histories(structure))
     deepest = max(structure.leaves(), key=lambda leaf: len(history(structure, leaf)))
     assert len(history(structure, deepest)) == depth
     poly = payoff_polynomial(game)

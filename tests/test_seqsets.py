@@ -230,6 +230,8 @@ def _strongly_branching_subset_reference(ss: SequenceSet):
 @example(SequenceSet(seqs("a c", "a d", "b"), PAIR))
 @example(SequenceSet(seqs("", "a", "b e", "b f"), PAIR))
 @example(SequenceSet(seqs("a", "b", "c", "d"), PAIR))  # two full branches: I1 wins
+@example(SequenceSet(seqs("c", "a c"), PAIR))  # one history reaching I2 prefixes another
+@example(SequenceSet(seqs("a e", "c e"), PAIR))  # they first diverge in two infosets
 @settings(max_examples=300, deadline=None)
 def test_order_reading_recursions_match_reference(ss):
     assert is_alr_set(ss) == _alr_reference(ss)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from recall_forge.seqsets import (
     is_strongly_branching,
 )
 from recall_forge.shuffle import salr_witness
+from recall_forge.solver import solve
 from recall_forge.span import (
     NotAlrCandidateError,
     SpanStats,
@@ -161,6 +163,20 @@ def test_searches_use_the_sets_universe(monkeypatch):
     cert = minimal_span(ss)
     assert (len(cert.span), shuffle_depth(ss)) == (24, 2)
     assert built == []
+
+
+def test_searches_leave_no_reference_cycles():
+    # the searches' recursions hold no reference to themselves, so their
+    # memos and the sets' universes go as soon as each call returns
+    game = gen_pennies("III", 8)
+    gc.collect()
+    gc.disable()
+    try:
+        solve(game)
+        shuffle_depth(extract_histories(game.structure))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _tuple_span_search(ss: SequenceSet, stats: SpanStats) -> frozenset:
