@@ -179,7 +179,10 @@ def parse_game(text: str) -> Game:
                 pairs.append((p, walk(node, at)))
         return pairs
 
-    root = walk(doc.get("root"), "root")
+    try:
+        root = walk(doc.get("root"), "root")
+    finally:
+        del walk, chance_pairs  # they refer to themselves; dropping them frees them now
     structure = GameStructure(root=root, nodes=nodes, infosets=tuple(infosets))
     game = Game(structure=structure, chance=chance, utility=utility)
     problems = validate_game(game)
@@ -236,7 +239,10 @@ def _dumps(doc: Any) -> str:
             return "{" + inner + ("," + inner).join(parts) + inner[:-2] + "}"
         raise TypeError(f"cannot write {kind.__name__} to a document")
 
-    return enc(doc, 0)
+    try:
+        return enc(doc, 0)
+    finally:
+        del enc  # `enc` refers to itself; dropping it frees it and the memo now
 
 
 def _node_doc(game: Game, nid: NodeId) -> dict[str, Any]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +35,15 @@ class GameError(Exception):
 
 class SizeLimitError(GameError):
     """Raised when a guarded operation would exceed its size bound."""
+
+
+def size_limit(env: str, default: int) -> int:
+    """The bound that environment variable `env` sets, else `default`."""
+    raw = os.environ.get(env)
+    try:
+        return int(raw) if raw else default
+    except ValueError:
+        raise GameError(f"{env}={raw!r} is not an integer") from None
 
 
 @dataclass(frozen=True)

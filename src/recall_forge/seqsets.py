@@ -27,7 +27,7 @@ prefixes that reach each infoset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NoReturn, Optional
+from typing import Iterable, Iterator, NoReturn, Optional
 
 from .model import (
     Action,
@@ -183,6 +183,29 @@ class Monomials:
             else:
                 residual.append(m)
         return [frozenset(residual + q) for q in quotients.values()]
+
+    def candidates(self, ms: frozenset[int]) -> Iterator[tuple[int, list[frozenset[int]]]]:
+        """The present infosets in declaration order, each with its
+        `branches`, except each k for which an infoset j yielded before
+        it has k's branch sizes and a swap with k, action i for action i,
+        that maps `ms` onto itself.  That swap maps j's branches onto k's,
+        so an answer that renaming keeps (a span's size, a shuffle depth)
+        is the same for both.  Only equal sizes are swapped.
+        """
+        tried: dict[tuple[int, ...], list[int]] = {}
+        for k in self.present(ms):
+            branches = self.branches(ms, k)
+            same = tried.setdefault(tuple(map(len, branches)), [])
+            if not (same and any(self._swaps(ms, j, k) for j in same)):
+                same.append(k)
+                yield k, branches
+
+    def _swaps(self, ms: frozenset[int], j: int, k: int) -> bool:
+        """Whether swapping infosets j < k, of equal action counts, maps
+        `ms` onto itself."""
+        bj, bk = self._blocks[j][0], self._blocks[k][0]
+        shift, both = (bk & -bk).bit_length() - (bj & -bj).bit_length(), bj | bk
+        return all(m & ~both | (m & bj) << shift | (m & bk) >> shift in ms for m in ms if m & both)
 
 
 @dataclass(frozen=True)

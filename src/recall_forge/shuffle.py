@@ -92,7 +92,10 @@ def salr_witness(ss: SequenceSet) -> SalrResult:
             out.update((m | bit[a], (a,) + w) for m, w in got.items())
         return out
 
-    witnesses = rec(frozenset(histories), 0)
+    try:
+        witnesses = rec(frozenset(histories), 0)
+    finally:
+        del rec  # `rec` refers to itself; dropping it frees it now
     if witnesses is None:
         return SalrResult(False, None, None, ss.with_sequences(node_sequences(*failure)))
     mapping = {s: witnesses[m] for m, group in histories.items() for s in group}

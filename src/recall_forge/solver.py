@@ -14,7 +14,6 @@ Three routes, all exact:
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -35,6 +34,7 @@ from .model import (
     RecallClass,
     classify_recall,
     history,
+    size_limit,
 )
 from .seqsets import Sequence, extract_histories
 from .span import minimal_span
@@ -54,14 +54,6 @@ class SolveResult:
     value: Fraction
     strategy: PureStrategy
     method: str  # bruteforce | refinement | span-pipeline
-
-
-def _pure_strategy_limit() -> int:
-    raw = os.environ.get(MAX_PURE_ENV)
-    try:
-        return int(raw) if raw else DEFAULT_MAX_PURE
-    except ValueError:
-        raise GameError(f"{MAX_PURE_ENV}={raw!r} is not an integer") from None
 
 
 def _require_one_player_nam(game: Game) -> str:
@@ -103,7 +95,7 @@ def solve_bruteforce(game: Game) -> SolveResult:
     count = 1
     for i in infosets:
         count *= len(i.actions)
-    limit = _pure_strategy_limit()
+    limit = size_limit(MAX_PURE_ENV, DEFAULT_MAX_PURE)
     if count > limit:
         raise SizeLimitError(f"{count} pure strategies exceed the guard ({limit})")
 

@@ -17,10 +17,14 @@ the way down.  So a subproblem's answer depends only on its set of
 monomials, and sequences that differ only in action order are one
 subproblem.  Both searches run the one memoized recursion
 `_memo_search` and differ only in how they join components and answer a
-connected set.  The verifier and `realize_sequence_set` read the first
-action of each sequence, so order matters to them: they recurse on
-tuples through the one first-action split of `seqsets`, and build no
-`SequenceSet` per recursion node.
+connected set.  Where they try every present infoset, they skip those
+that `Monomials.candidates` finds to be an earlier one renamed, which
+gives the same size or depth and so only ties; this keeps families of
+interchangeable infosets, such as pennies-III, polynomial.  The verifier
+and `realize_sequence_set` read the first action of each sequence, so
+order matters to them: they recurse on tuples through the one
+first-action split of `seqsets`, and build no `SequenceSet` per
+recursion node.
 
 The verifier is independent of the construction: it checks that the
 candidate has A-loss recall, then for each original sequence s it finds
@@ -48,6 +52,8 @@ from .model import (
     Leaf,
     Node,
     PlayerNode,
+    SizeLimitError,
+    size_limit,
 )
 from .seqsets import (
     EPSILON,
@@ -101,6 +107,7 @@ def canonical_full_span(infosets: Iterable[InformationSet]) -> SequenceSet:
 
 
 _EPSILON_ONLY = frozenset({0})  # the monomial of the empty sequence
+MAX_SUBPROBLEMS_ENV = "RECALL_FORGE_MAX_SUBPROBLEMS"  # memo entries per search; 2**17 if unset
 
 T = TypeVar("T")
 
@@ -120,6 +127,7 @@ def _memo_search(
     """
     kernel = ss.universe
     memo: dict[frozenset[int], T] = {}
+    limit = size_limit(MAX_SUBPROBLEMS_ENV, 2**17)
 
     def rec(ms: frozenset[int]) -> T:
         if 0 in ms and len(ms) > 1:
@@ -133,6 +141,8 @@ def _memo_search(
             return got
         if stats:
             stats.subproblems += 1
+        if len(memo) > limit:
+            raise SizeLimitError(f"the search passed {limit} subproblems ({MAX_SUBPROBLEMS_ENV})")
         comps = kernel.components(ms)
         memo[ms] = got = join(*map(rec, comps)) if len(comps) > 1 else connected(ms, rec)
         return got
@@ -149,19 +159,21 @@ def _minimal_span_set(ss: SequenceSet, stats: Optional[SpanStats] = None) -> fro
     Runs on monomials (see the module docstring).  The candidates for the
     actions of one infoset start with distinct actions, so a candidate's
     size is the sum of its branch spans' sizes; only the winner's
-    sequences are built.
+    sequences are built.  Without a covering infoset, the infosets that
+    `Monomials.candidates` skips are not tried: each could only tie.
     """
     kernel = ss.universe
 
     def connected(ms, rec):
         cover = kernel.covering(ms)
+        tried = kernel.candidates(ms) if cover is None else [(cover, kernel.branches(ms, cover))]
         best: list[tuple[Action, frozenset[Sequence]]] = []
         best_size = -1
-        for k in [cover] if cover is not None else kernel.present(ms):
-            spans = []  # a loop, not a comprehension: no extra stack frame per level
-            for a, q in zip(ss.infosets[k].actions, kernel.branches(ms, k)):
-                spans.append((a, rec(q)))
-            size = sum(len(t) for _, t in spans)
+        for k, branches in tried:
+            spans, size = [], 0  # a loop, not a comprehension: no extra stack frame per level
+            for a, q in zip(ss.infosets[k].actions, branches):
+                spans.append((a, span := rec(q)))
+                size += len(span)
             if best_size < 0 or size < best_size:  # the first smallest wins ties
                 best, best_size = spans, size
         return frozenset((a,) + t for a, span in best for t in span)
@@ -185,8 +197,9 @@ def shuffle_depth(ss: SequenceSet) -> int:
     that infoset has depth 0: this is the shuffled-A-loss-recall recursion
     of `salr_witness`, whose verdict does not depend on which covering
     infoset is fixed.  Those branch depths are also candidates of the
-    `1 + min(max ...)` step, so the memo computes them once.  Runs on
-    monomials, like the span search.
+    `1 + min(max ...)` step, so the memo computes them once; that step
+    skips the infosets the span search skips, since renaming keeps a
+    depth.  Runs on monomials, like the span search.
     """
     kernel = ss.universe
 
@@ -198,7 +211,7 @@ def shuffle_depth(ss: SequenceSet) -> int:
                     break
             else:
                 return 0
-        return 1 + min(max(map(rec, kernel.branches(ms, k))) for k in kernel.present(ms))
+        return 1 + min(max(map(rec, branches)) for _, branches in kernel.candidates(ms))
 
     return _memo_search(ss, (0, 0), max, connected)
 
@@ -303,7 +316,10 @@ def realize_sequence_set(ss: SequenceSet) -> GameStructure:
             nodes[nid] = ChanceNode(children=tuple(kids_ids))
         return nid
 
-    root = build(EPSILON in ss.sequences, _lead(ss.sequences, universe))
+    try:
+        root = build(EPSILON in ss.sequences, _lead(ss.sequences, universe))
+    finally:
+        del build  # `build` refers to itself; dropping it frees it now
     return GameStructure(root=root, nodes=nodes, infosets=tuple(ss.present_infosets()))
 
 

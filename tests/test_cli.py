@@ -601,6 +601,22 @@ def test_cli_guard_value_parsing(monkeypatch, raw, expected):
         assert err == "error: RECALL_FORGE_MAX_PURE='abc' is not an integer\n"
 
 
+def test_cli_search_budget(monkeypatch):
+    # random seed 59 at the acceptance suite's parameters keeps the span
+    # search busy for over a minute; the subproblem budget ends it
+    params = FamilyParams(family="random", seed=59, depth=6, branching=3)
+    doc = serialize_game(gen_random(params))
+    monkeypatch.setenv("RECALL_FORGE_MAX_SUBPROBLEMS", "1000")
+    for command in ("span", "sd"):
+        code, out, err = run([command], stdin_text=doc)
+        assert (code, out) == (3, "")
+        assert err == "error: the search passed 1000 subproblems (RECALL_FORGE_MAX_SUBPROBLEMS)\n"
+    monkeypatch.setenv("RECALL_FORGE_MAX_SUBPROBLEMS", "1e3")
+    code, out, err = run(["span"], stdin_text=doc)
+    assert (code, out) == (1, "")
+    assert err == "error: RECALL_FORGE_MAX_SUBPROBLEMS='1e3' is not an integer\n"
+
+
 GOLDEN_CASES = [
     (["classify"], ("pennies", "I"), "classify_pennies_I_n3.txt"),
     (["classify"], ("pennies", "II"), "classify_pennies_II_n3.txt"),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import io
 import random
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recall_forge.cli import cli_main
+from recall_forge.docio import serialize_game
 from recall_forge.model import (
     MAX,
     GameError,
@@ -139,8 +142,9 @@ def test_shuffle_depth_zero_iff_salr_on_families():
 
 
 def test_pennies_iii_search_counters():
-    # (subproblems, memo lookups) of the span search and the shuffle depth
-    expected = {8: (115, 556), 14: (1008, 8026), 16: (2031, 18156), 20: (8173, 88708)}
+    # (subproblems, memo lookups) of the span search, which skips the
+    # symmetric copies of an infoset, and the shuffle depth
+    expected = {8: (33, 83), 14: (60, 176), 16: (69, 209), 20: (87, 278)}
     for n, counters in expected.items():
         ss = extract_histories(gen_pennies("III", n).structure)
         stats = SpanStats()
@@ -165,16 +169,25 @@ def test_searches_use_the_sets_universe(monkeypatch):
     assert built == []
 
 
-def test_searches_leave_no_reference_cycles():
-    # the searches' recursions hold no reference to themselves, so their
-    # memos and the sets' universes go as soon as each call returns
+def test_searches_leave_no_reference_cycles(tmp_path):
+    # the searches' recursions and the document walks hold no reference to
+    # themselves, so their memos, the sets' universes and the parsed nodes
+    # go as soon as each call returns
     game = gen_pennies("III", 8)
+    path = tmp_path / "game.json"
+    path.write_text(serialize_game(game))
+    # (command, exit code): pennies-III has no shuffled A-loss recall
+    commands = (("span", 0), ("solve", 0), ("shuffle", 2))
+    cli_main(["classify", str(path)], io.StringIO(), io.StringIO())  # builds the parser
     gc.collect()
     gc.disable()
     try:
         solve(game)
         shuffle_depth(extract_histories(game.structure))
         assert gc.collect() == 0
+        for command, code in commands:
+            assert cli_main([command, str(path)], io.StringIO(), io.StringIO()) == code
+            assert gc.collect() == 0, command
     finally:
         gc.enable()
 
@@ -263,8 +276,9 @@ def _random_history_sets() -> list[SequenceSet]:
 
 
 def test_monomial_search_matches_tuple_search():
-    """The monomial kernel gives the tuple search's span, SpanStats and
-    shuffle depth; the last set holds `b a` and `a b`, one monomial."""
+    """The monomial kernel, which skips symmetric infosets, gives the
+    tuple search's span and shuffle depth in no more subproblems; the last
+    set holds `b a` and `a b`, one monomial."""
     cases = [
         extract_histories(gen_pennies(variant, n).structure)
         for variant in ("I", "II", "III")
@@ -278,8 +292,22 @@ def test_monomial_search_matches_tuple_search():
     for ss in cases:
         got, want = SpanStats(), SpanStats()
         assert _minimal_span_set(ss, got) == _tuple_span_search(ss, want)
-        assert (got.subproblems, got.lookups) == (want.subproblems, want.lookups)
+        assert got.subproblems <= want.subproblems
         assert shuffle_depth(ss) == _tuple_shuffle_depth(ss)
+
+
+def test_symmetric_searches_grow_polynomially():
+    # the skip leaves one of pennies-III's interchangeable infosets per
+    # node, so subproblems grow linearly in n (32,747 at n = 24 without it)
+    for n in (32, 48, 64):
+        ss = extract_histories(gen_pennies("III", n).structure)
+        stats = SpanStats()
+        assert len(_minimal_span_set(ss, stats)) == 4 * n
+        assert stats.subproblems <= 5 * n
+        assert shuffle_depth(ss) == 2
+    stats = SpanStats()
+    assert len(_minimal_span_set(gen_lowerbound(14), stats)) == 2**14
+    assert stats.subproblems == 14
 
 
 def test_verify_span_layered_combinations():
