@@ -59,10 +59,12 @@ def main() -> None:
     show("maxmin via span pipeline", solve(game, method="span").value)
     show("maxmin via brute force", solve_bruteforce(game).value)
 
-    print("\n== exponential family: minimal span doubles per level")
+    print("\n== span growth: lowerbound doubles per level, pennies-III grows linearly")
     for n in range(1, 9):
-        cert = minimal_span(gen_lowerbound(n))
-        show(f"n={n}", f"span size {len(cert.span)}")
+        lower = minimal_span(gen_lowerbound(n))
+        pennies = minimal_span(extract_histories(gen_pennies("III", n).structure))
+        sizes = f"lowerbound {len(lower.span)}, pennies-III {len(pennies.span)}"
+        show(f"n={n}: minimal span size", sizes)
 
     print("\n== two players: compose per-player spans")
     game = build_two_player_demo([Fraction(i) for i in range(1, 9)])

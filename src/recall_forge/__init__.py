@@ -16,7 +16,7 @@ from .model import (
     history,
     validate,
 )
-from .seqsets import SequenceSet, components, extract_histories, is_alr_set
+from .seqsets import SequenceSet, extract_histories, is_alr_set
 from .shuffle import SalrResult, salr_witness, shuffle_structure
 from .span import (
     SpanCertificate,
@@ -48,7 +48,6 @@ __all__ = [
     "TransformedGame",
     "canonical_full_span",
     "classify_recall",
-    "components",
     "compose_two_player",
     "extract_histories",
     "history",

@@ -1,13 +1,12 @@
 """Command-line surface.
 
-Every subcommand is a thin wrapper over the library: stdout is a pure
-function of the input files and flags (the bench command's wall-clock
-column is the one exception).  Exit codes: 0 success, 1 usage or parse
-error, 2 negative mathematical answer (no shuffle witness, a failed span
-verification), 3 guarded size limit exceeded, which includes an input
-nested deeper than a recursive step can follow.  A reader that closes
-stdout early (`recall-forge solve g.json | head -1`) ends the run with
-exit 1 and no message.
+Every subcommand is a thin wrapper over the library: stdout and every
+written file are a pure function of the input files and flags.  Exit
+codes: 0 success, 1 usage or parse error, 2 negative mathematical answer
+(no shuffle witness, a failed span verification), 3 guarded size limit
+exceeded, which includes an input nested deeper than a recursive step
+can follow.  A reader that closes stdout early (`recall-forge solve
+g.json | head -1`) ends the run with exit 1 and no message.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import argparse
 import functools
 import os
 import sys
-import time
 from typing import Optional, Sequence as Seq
 
 from .docio import (
@@ -132,10 +130,6 @@ def _parser() -> _Parser:
     gr.add_argument("--branching", type=int, default=3)
     gr.add_argument("--players", type=int, default=1)
     gr.add_argument("--merge-prob", type=float, default=0.6)
-
-    p = sub.add_parser("bench", help="span-size growth benchmark, CSV on stdout")
-    p.add_argument("--family", choices=("lowerbound", "pennies-III"), default="lowerbound")
-    p.add_argument("--n-max", type=int, required=True)
     return parser
 
 
@@ -160,66 +154,6 @@ def cli_main(argv: Seq[str], stdout=None, stderr=None) -> int:
 
 
 def _dispatch(args, stdout, stderr) -> int:
-    if args.command == "classify":
-        game = parse_game(_read(args.file))
-        for player in game.structure.players():
-            stdout.write(f"{player}: {classify_recall(game.structure, player).name}\n")
-        return EXIT_OK
-
-    if args.command == "shuffle":
-        game = parse_game(_read(args.file))
-        result = salr_witness(extract_histories(game.structure))
-        if not result.has_salr:
-            detail = ""
-            if result.failure is not None:
-                shown = [" ".join(s) for s in result.failure.sorted_sequences()[:4]]
-                detail = " (no covering information set for {%s%s})" % (
-                    ", ".join(shown),
-                    ", ..." if len(result.failure) > 4 else "",
-                )
-            stderr.write(f"no s-alr{detail}\n")
-            return EXIT_NEGATIVE
-        witness = realize_sequence_set(result.witness)
-        _write(args.output, serialize_game(structure_as_game(witness)), stdout)
-        return EXIT_OK
-
-    if args.command == "span":
-        game = parse_game(_read(args.file))
-        cert = minimal_span(extract_histories(game.structure))
-        structure = realize_sequence_set(cert.span)
-        _write(args.output, serialize_game(structure_as_game(structure)), stdout)
-        if args.certificate:
-            _write(args.certificate, serialize_certificate(cert), stdout)
-        return EXIT_OK
-
-    if args.command == "sd":
-        game = parse_game(_read(args.file))
-        stdout.write(f"{shuffle_depth(extract_histories(game.structure))}\n")
-        return EXIT_OK
-
-    if args.command == "transform":
-        game = parse_game(_read(args.file))
-        cert = parse_certificate(_read(args.certificate))
-        transformed = transfer_payoffs(game, cert)
-        _write(args.output, serialize_game(transformed.game), stdout)
-        return EXIT_OK
-
-    if args.command == "solve":
-        game = parse_game(_read(args.file))
-        result = solve(game, method=args.method)
-        stdout.write(format_rational(result.value) + "\n")
-        for info in game.structure.infosets:
-            stdout.write(f"{info.id}: {result.strategy.choice[info.id]}\n")
-        return EXIT_OK
-
-    if args.command == "compose":
-        game = parse_game(_read(args.file))
-        cmax = parse_certificate(_read(args.max_cert))
-        cmin = parse_certificate(_read(args.min_cert))
-        composed = compose_two_player(game, cmax, cmin)
-        _write(args.output, serialize_game(composed.game), stdout)
-        return EXIT_OK
-
     if args.command == "verify-span":
         original_game = parse_game(_read(args.original))
         candidate_game = parse_game(_read(args.candidate))
@@ -252,17 +186,58 @@ def _dispatch(args, stdout, stderr) -> int:
         stdout.write(serialize_game(game))
         return EXIT_OK
 
-    if args.command == "bench":
-        stdout.write("n,span_size,wall_ms\n")
-        for n in range(1, args.n_max + 1):
-            if args.family == "lowerbound":
-                seqs = gen_lowerbound(n)
-            else:
-                seqs = extract_histories(gen_pennies("III", n).structure)
-            start = time.perf_counter()
-            cert = minimal_span(seqs)
-            elapsed = (time.perf_counter() - start) * 1000.0
-            stdout.write(f"{n},{len(cert.span)},{elapsed:.1f}\n")
+    game = parse_game(_read(args.file))
+    if args.command == "classify":
+        for player in game.structure.players():
+            stdout.write(f"{player}: {classify_recall(game.structure, player).name}\n")
+        return EXIT_OK
+
+    if args.command == "shuffle":
+        result = salr_witness(extract_histories(game.structure))
+        if not result.has_salr:
+            detail = ""
+            if result.failure is not None:
+                shown = [" ".join(s) for s in result.failure.sorted_sequences()[:4]]
+                detail = " (no covering information set for {%s%s})" % (
+                    ", ".join(shown),
+                    ", ..." if len(result.failure) > 4 else "",
+                )
+            stderr.write(f"no s-alr{detail}\n")
+            return EXIT_NEGATIVE
+        witness = realize_sequence_set(result.witness)
+        _write(args.output, serialize_game(structure_as_game(witness)), stdout)
+        return EXIT_OK
+
+    if args.command == "span":
+        cert = minimal_span(extract_histories(game.structure))
+        structure = realize_sequence_set(cert.span)
+        _write(args.output, serialize_game(structure_as_game(structure)), stdout)
+        if args.certificate:
+            _write(args.certificate, serialize_certificate(cert), stdout)
+        return EXIT_OK
+
+    if args.command == "sd":
+        stdout.write(f"{shuffle_depth(extract_histories(game.structure))}\n")
+        return EXIT_OK
+
+    if args.command == "transform":
+        cert = parse_certificate(_read(args.certificate))
+        transformed = transfer_payoffs(game, cert)
+        _write(args.output, serialize_game(transformed.game), stdout)
+        return EXIT_OK
+
+    if args.command == "solve":
+        result = solve(game, method=args.method)
+        stdout.write(format_rational(result.value) + "\n")
+        for info in game.structure.infosets:
+            stdout.write(f"{info.id}: {result.strategy.choice[info.id]}\n")
+        return EXIT_OK
+
+    if args.command == "compose":
+        cmax = parse_certificate(_read(args.max_cert))
+        cmin = parse_certificate(_read(args.min_cert))
+        composed = compose_two_player(game, cmax, cmin)
+        _write(args.output, serialize_game(composed.game), stdout)
         return EXIT_OK
 
     raise UsageError(f"unknown command {args.command!r}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
@@ -103,16 +103,8 @@ def _load_json(text: str) -> Any:
         raise DocumentError("not valid JSON: nested too deeply") from None
 
 
-def parse_game(text: str) -> Game:
-    """Parse and validate a game document, folding chance chains as they
-    are read."""
-    doc = _load_json(text)
-    if not isinstance(doc, dict):
-        raise DocumentError("top level must be an object")
-    if doc.get("version") != FORMAT_VERSION:
-        raise DocumentError(f"unsupported version {doc.get('version')!r}")
-
-    raw_sets = doc.get("infosets")
+def _infosets(raw_sets: Any) -> tuple[InformationSet, ...]:
+    """The `infosets` list of a game or certificate document."""
     if not isinstance(raw_sets, list):
         raise DocumentError("infosets: expected a list")
     infosets = []
@@ -128,17 +120,33 @@ def parse_game(text: str) -> Game:
             infosets.append(InformationSet(str(raw["id"]), str(raw["owner"]), actions))
         except GameError as exc:
             raise DocumentError(f"{where}: {exc}") from None
+    return tuple(infosets)
 
+
+def _infoset_docs(infosets: tuple[InformationSet, ...]) -> list[dict[str, Any]]:
+    """The `infosets` list that `_infosets` reads back."""
+    return [{"id": i.id, "owner": i.owner, "actions": i.actions} for i in infosets]
+
+
+def parse_game(text: str) -> Game:
+    """Parse and validate a game document, folding chance chains as they
+    are read."""
+    doc = _load_json(text)
+    if not isinstance(doc, dict):
+        raise DocumentError("top level must be an object")
+    if doc.get("version") != FORMAT_VERSION:
+        raise DocumentError(f"unsupported version {doc.get('version')!r}")
+
+    infosets = _infosets(doc.get("infosets"))
     nodes: dict[NodeId, Node] = {}
     chance: dict[NodeId, tuple[Fraction, ...]] = {}
     utility: dict[NodeId, Fraction] = {}
-    counter = [0]
+    counter = count()
 
     def walk(raw: Any, where: str) -> NodeId:
         if not isinstance(raw, dict) or "kind" not in raw:
             raise DocumentError(f"{where}: expected a node object with 'kind'")
-        nid = counter[0]
-        counter[0] += 1
+        nid = next(counter)
         kind = raw["kind"]
         if kind == "leaf":
             nodes[nid] = Leaf()
@@ -173,7 +181,7 @@ def parse_game(text: str) -> Game:
             p = _parse_rational(kid.get("prob"), f"{where}.children[{j}].prob")
             node, at = kid.get("node"), f"{where}.children[{j}].node"
             if isinstance(node, dict) and node.get("kind") == "chance":
-                counter[0] += 1
+                next(counter)
                 pairs.extend((p * q, c) for q, c in chance_pairs(node, at))
             else:
                 pairs.append((p, walk(node, at)))
@@ -183,7 +191,7 @@ def parse_game(text: str) -> Game:
         root = walk(doc.get("root"), "root")
     finally:
         del walk, chance_pairs  # they refer to themselves; dropping them frees them now
-    structure = GameStructure(root=root, nodes=nodes, infosets=tuple(infosets))
+    structure = GameStructure(root=root, nodes=nodes, infosets=infosets)
     game = Game(structure=structure, chance=chance, utility=utility)
     problems = validate_game(game)
     if problems:
@@ -270,10 +278,7 @@ def serialize_game(game: Game) -> str:
     doc = {
         "version": FORMAT_VERSION,
         "players": list(game.structure.players()),
-        "infosets": [
-            {"id": i.id, "owner": i.owner, "actions": i.actions}
-            for i in game.structure.infosets
-        ],
+        "infosets": _infoset_docs(game.structure.infosets),
         "root": _node_doc(game, game.structure.root),
     }
     return _dumps(doc) + "\n"
@@ -283,10 +288,7 @@ def serialize_certificate(cert: SpanCertificate) -> str:
     original = cert.original.sorted_sequences()
     doc = {
         "version": FORMAT_VERSION,
-        "infosets": [
-            {"id": i.id, "owner": i.owner, "actions": i.actions}
-            for i in cert.original.infosets
-        ],
+        "infosets": _infoset_docs(cert.original.infosets),
         "original": original,
         "span": cert.span.sorted_sequences(),
         "combinations": [
@@ -302,12 +304,7 @@ def parse_certificate(text: str) -> SpanCertificate:
     if not isinstance(doc, dict) or doc.get("version") != FORMAT_VERSION:
         raise DocumentError("unsupported certificate document")
     try:
-        infosets = tuple(
-            InformationSet(
-                str(r["id"]), str(r["owner"]), _strings(r["actions"], f"infosets[{k}].actions")
-            )
-            for k, r in enumerate(doc["infosets"])
-        )
+        infosets = _infosets(doc.get("infosets"))
         original = SequenceSet(_sequences(doc["original"], "original"), infosets)
         span = original.with_sequences(_sequences(doc["span"], "span"))
         combos: dict[Sequence, frozenset[Sequence]] = {}

@@ -26,6 +26,7 @@ such a tree breadth first, each node taking depth and history from its parent.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -90,28 +91,23 @@ def gen_pennies(variant: str, n: int) -> Game:
     nodes: dict[NodeId, Node] = {}
     chance: dict[NodeId, tuple[Fraction, ...]] = {}
     utility: dict[NodeId, Fraction] = {}
-    counter = [0]
-
-    def fresh() -> NodeId:
-        counter[0] += 1
-        return counter[0] - 1
-
-    root = fresh()
+    counter = itertools.count()
+    root = next(counter)
     die_kids = []
     for d in range(n):
-        a_id = fresh()
+        a_id = next(counter)
         die_kids.append(a_id)
         a_set = alice_of_die[d]
         a_kids = []
         for side in ("H", "T"):
-            b_nid = fresh()
+            b_nid = next(counter)
             if variant == "III":
                 b_set = "BH" if side == "H" else "BT"
             else:
                 b_set = "B"
             b_kids = []
             for bob_side in ("H", "T"):
-                leaf = fresh()
+                leaf = next(counter)
                 nodes[leaf] = Leaf()
                 win = (side == bob_side) == (d % 2 == 0)
                 utility[leaf] = Fraction(1 if win else 0)
@@ -175,15 +171,11 @@ def gen_random(params: FamilyParams) -> Game:
     nodes: dict[NodeId, Node] = {}
     chance: dict[NodeId, tuple[Fraction, ...]] = {}
     utility: dict[NodeId, Fraction] = {}
-    counter = [0]
+    counter = itertools.count()
     player_nodes: list[tuple[NodeId, int, str, tuple[NodeId, ...]]] = []  # id, depth, owner, kids
 
-    def fresh() -> NodeId:
-        counter[0] += 1
-        return counter[0] - 1
-
     def build(depth: int) -> NodeId:
-        nid = fresh()
+        nid = next(counter)
         stop = depth >= params.depth or (depth > 0 and rng.random() < 0.25)
         if stop:
             nodes[nid] = Leaf()
@@ -202,7 +194,10 @@ def gen_random(params: FamilyParams) -> Game:
             player_nodes.append((nid, depth, owner, kids))
         return nid
 
-    root = build(0)
+    try:
+        root = build(0)
+    finally:
+        del build  # `build` refers to itself; dropping it frees it now
 
     # group same-depth same-arity same-owner nodes into information sets
     infosets: list[InformationSet] = []

@@ -194,10 +194,6 @@ class Game:
                     out[c] = out[nid]
         return out
 
-    def chance_weight(self, leaf: NodeId) -> Fraction:
-        """Product of chance probabilities on the root path to `leaf`."""
-        return self.chance_weights[leaf]
-
 
 def validate(structure: GameStructure) -> list[str]:
     """Check every structural invariant; returns human-readable violations.

@@ -92,7 +92,7 @@ def payoff_polynomial(game: Game) -> Polynomial:
     terms: dict[Monomial, Fraction] = {}
     for leaf in game.structure.leaves():
         m = frozenset(game.structure.histories[leaf])
-        w = game.chance_weight(leaf) * game.utility[leaf]
+        w = game.chance_weights[leaf] * game.utility[leaf]
         terms[m] = terms.get(m, Fraction(0)) + w
     return Polynomial.build(terms, game.structure.infosets)
 

@@ -9,7 +9,7 @@ derived from that declaration order.
 Every set carries its universe, a `Monomials` built once from the infoset
 tuple and shared by every derived subset, and each sequence's monomial:
 the kernel codes and validates every sequence once, when the set is
-built.  The recursions that ignore the order of actions (components, the
+built.  The recursions that ignore the order of actions (the
 minimal-span search, the shuffle depth and shuffled-A-loss-recall
 detection) start from those monomials and run through the kernel's one
 component step, covering infoset and branch step.
@@ -118,7 +118,8 @@ class Monomials:
         return got
 
     def components(self, ms: frozenset[int]) -> list[frozenset[int]]:
-        """Connected components, as in `components`, in no fixed order.
+        """Connected components, in no fixed order: monomials connect
+        when their infoset masks overlap.
 
         Merges the infoset masks into disjoint unions, then buckets each
         monomial under the union holding its mask.  A zero mask
@@ -294,21 +295,6 @@ def extract_histories(structure: GameStructure, player: Optional[str] = None) ->
     else:
         infosets = tuple(i for i in structure.infosets if i.owner == player)
     return SequenceSet(frozenset(seqs), infosets)
-
-
-def components(ss: SequenceSet) -> list[SequenceSet]:
-    """Connected components; the empty sequence is always its own component.
-
-    Sequences connect when their infoset masks overlap.  Components are
-    ordered by their smallest member in `seq_key` order, so an epsilon
-    component comes first.
-    """
-    comps = ss.universe.components(frozenset(ss.monomials.values()))
-    if len(comps) <= 1:
-        return [ss] if comps else []
-    groups = [[s for s, m in ss.monomials.items() if m in comp] for comp in comps]
-    ordered = sorted(groups, key=lambda b: min(map(ss.seq_key, b)))
-    return [ss.with_sequences(b) for b in ordered]
 
 
 def covering_infoset(ss: SequenceSet) -> Optional[InformationSet]:

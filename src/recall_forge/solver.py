@@ -84,7 +84,10 @@ def expected_payoff(game: Game, strategy: PureStrategy) -> Fraction:
                 return walk(c)
         raise GameError(f"strategy picks {chosen!r}, not available at {node.infoset!r}")
 
-    return walk(game.structure.root)
+    try:
+        return walk(game.structure.root)
+    finally:
+        del walk  # `walk` refers to itself; dropping it frees it now
 
 
 def solve_bruteforce(game: Game) -> SolveResult:

@@ -120,6 +120,32 @@ def tuple_branches(
     return out
 
 
+def components_oracle(ss: SequenceSet) -> list[frozenset[tuple[str, ...]]]:
+    """Connected components on tuples of actions, the reference the tuple
+    oracles use: sort the sequences, join the infosets of adjacent
+    actions, and bucket the sequences by the root of their first infoset
+    in first-seen order; epsilon forms its own bucket, moved to the front."""
+    key = {a: (i, j) for i, info in enumerate(ss.infosets) for j, a in enumerate(info.actions)}
+    owner = {a: info.id for info in ss.infosets for a in info.actions}
+    ordered = sorted(ss.sequences, key=lambda s: [key[a] for a in s])
+    parent = {owner[a]: owner[a] for s in ordered for a in s}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for s in ordered:
+        for a, b in zip(s, s[1:]):
+            parent[find(owner[b])] = find(owner[a])
+    buckets: dict = {}
+    for s in ordered:
+        buckets.setdefault(find(owner[s[0]]) if s else None, []).append(s)
+    if None in buckets:
+        buckets = {None: buckets.pop(None), **buckets}
+    return [frozenset(b) for b in buckets.values()]
+
+
 # five infosets, so short sequences often fall into several components
 FIVE = tuple(InformationSet(f"J{k}", MAX, (f"x{k}", f"y{k}", f"z{k}")) for k in range(5))
 

@@ -369,12 +369,80 @@ def test_cli_sd_and_bench():
     code, out, _ = run(["sd"], stdin_text=doc)
     assert code == 0 and out.strip() == "2"
 
-    code, out, _ = run(["bench", "--family", "lowerbound", "--n-max", "4"])
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "n,span_size,wall_ms"
-    sizes = [int(line.split(",")[1]) for line in lines[1:]]
-    assert sizes == [2, 4, 8, 16]
+    # span growth is printed by scripts/worked_examples.py, not by the CLI
+    code, out, err = run(["bench", "--family", "lowerbound", "--n-max", "4"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: argument command: invalid choice: 'bench'")
+    assert err.count("\n") == 1
+
+
+def test_cli_contract(tmp_path):
+    """README's CLI block names exactly the parser's commands, and each
+    command's exit code, stdout and written files are a function of its
+    inputs: two runs on the same files agree byte for byte."""
+    import argparse
+    import pathlib
+    import re
+
+    from conftest import build_two_player_demo
+    from recall_forge.model import MAX, MIN
+
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    commands = set(sub.choices)
+    assert set(re.findall(r"recall-forge ([a-z-]+)", block)) == commands
+
+    inputs, outputs = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    game = gen_pennies("III", 3)
+    cert = minimal_span(extract_histories(game.structure))
+    two = build_two_player_demo([Fraction(i) for i in range(1, 9)])
+    docs = {
+        "III.json": serialize_game(game),
+        "II.json": serialize_game(gen_pennies("II", 3)),
+        "cert.json": serialize_certificate(cert),
+        "span.json": run(["span"], stdin_text=serialize_game(game))[1],
+        "two.json": serialize_game(two),
+        "max.json": serialize_certificate(minimal_span(extract_histories(two.structure, MAX))),
+        "min.json": serialize_certificate(minimal_span(extract_histories(two.structure, MIN))),
+    }
+    for name, text in docs.items():
+        (inputs / name).write_text(text)
+    i = {name: str(inputs / name) for name in docs}
+    o = {name: str(outputs / name) for name in ("a.json", "b.json")}
+    cases = [
+        ["classify", i["III.json"]],
+        ["shuffle", i["II.json"], "-o", o["a.json"]],
+        ["shuffle", i["III.json"]],
+        ["span", i["III.json"], "-o", o["a.json"], "--certificate", o["b.json"]],
+        ["sd", i["III.json"]],
+        ["transform", i["III.json"], "--certificate", i["cert.json"], "-o", o["a.json"]],
+        ["solve", i["III.json"]],
+        ["solve", i["III.json"], "--method", "bruteforce"],
+        ["solve", i["III.json"], "--method", "span"],
+        ["compose", i["two.json"], "--max-cert", i["max.json"], "--min-cert", i["min.json"],
+         "-o", o["a.json"]],
+        ["verify-span", i["III.json"], i["span.json"]],
+        ["gen", "pennies", "--variant", "III", "--n", "3"],
+        ["gen", "lowerbound", "--n", "3"],
+        ["gen", "random", "--seed", "3"],
+    ]
+    assert {argv[0] for argv in cases} == commands
+
+    def outcome(argv):
+        outputs.mkdir()
+        code, out, _ = run(argv)
+        files = {p.name: p.read_bytes() for p in sorted(outputs.iterdir())}
+        for p in outputs.iterdir():
+            p.unlink()
+        outputs.rmdir()
+        return code, out, files
+
+    for argv in cases:
+        first = outcome(argv)
+        assert first[0] in (0, 2), argv
+        assert outcome(argv) == first, argv
 
 
 def test_cli_gen_lowerbound_span_size():
@@ -469,6 +537,18 @@ def test_cli_usage_errors(tmp_path):
         assert (code, out) == (1, "")
         assert err.startswith(f"error: malformed certificate: {field}: expected a list")
         assert err.count("\n") == 1
+    # the certificate's information sets are read as a game's are
+    for edit, message in (
+        (lambda d: d["infosets"][0].pop("id"), "infosets[0]: missing 'id'"),
+        (lambda d: d.update(infosets=1), "infosets: expected a list"),
+        (lambda d: d["infosets"].__setitem__(0, "I"), "infosets[0]: expected an object"),
+    ):
+        doc = json.loads(json.dumps(good))
+        edit(doc)
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(["transform", str(small), "--certificate", str(bad)])
+        assert (code, out) == (1, "")
+        assert err == f"error: malformed certificate: {message}\n"
 
 
 def test_cli_deep_input_is_a_size_limit(tmp_path):

@@ -168,7 +168,7 @@ def test_parse_game_folds_chance_chains():
         not isinstance(flat.structure.nodes[c], ChanceNode) for c in node.children
     )
     # leaf weights unchanged
-    weights = {flat.utility[l]: flat.chance_weight(l) for l in flat.structure.leaves()}
+    weights = {flat.utility[l]: flat.chance_weights[l] for l in flat.structure.leaves()}
     assert weights == {
         Fraction(1): Fraction(1, 6),
         Fraction(2): Fraction(1, 3),

@@ -279,7 +279,7 @@ def test_path_tables_match_root_walks():
         for nid in s.nodes:
             for player in (None, MAX, MIN):
                 assert history(s, nid, player) == _root_walk_history(s, parents, nid, player)
-            assert game.chance_weight(nid) == _root_walk_chance_weight(game, parents, nid)
+            assert game.chance_weights[nid] == _root_walk_chance_weight(game, parents, nid)
         count += 1
     assert count == 15 + 6 + 80 + 1
 

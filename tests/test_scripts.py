@@ -31,6 +31,7 @@ def run_script(name, *args):
 
 def test_worked_examples_script():
     out = run_script("worked_examples.py")
+    assert "n=8: minimal span size" in out and "lowerbound 256, pennies-III 32" in out
     assert "== two players" in out
 
 

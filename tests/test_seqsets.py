@@ -13,7 +13,6 @@ from recall_forge.generators import FamilyParams, gen_pennies, gen_random
 from recall_forge.seqsets import (
     Monomials,
     SequenceSet,
-    components,
     covering_infoset,
     extract_histories,
     find_strongly_branching_subset,
@@ -28,6 +27,7 @@ from conftest import (
     SPAN_DEMO_SET,
     THREE_BINARY,
     build_shuffle_demo,
+    components_oracle,
     random_realizable_set,
     sequence_sets,
     seqs,
@@ -76,22 +76,33 @@ def test_extract_rejects_absentminded(absentminded_demo):
         extract_histories(absentminded_demo.structure)
 
 
+def _monomial_components(ss: SequenceSet) -> set[frozenset[int]]:
+    """The kernel's components of the set's monomials, as a set."""
+    comps = ss.universe.components(frozenset(ss.monomials.values()))
+    assert len(set(comps)) == len(comps)
+    return set(comps)
+
+
+def _monomial_sets(ss: SequenceSet, groups) -> set[frozenset[int]]:
+    """Groups of the set's sequences as a set of monomial sets."""
+    return {frozenset(ss.monomials[s] for s in g) for g in groups}
+
+
 def test_components_split():
     ss = SequenceSet(seqs("a", "b", "c", "d"), PAIR)
-    comps = components(ss)
-    assert [c.sequences for c in comps] == [seqs("a", "b"), seqs("c", "d")]
+    assert _monomial_components(ss) == _monomial_sets(ss, [seqs("a", "b"), seqs("c", "d")])
 
 
 def test_components_bridging_sequence():
     # ac and eb share no actions, but eb is connected to both sides
     ss = SequenceSet(seqs("a c", "e b", "e"), PAIR)
-    assert len(components(ss)) == 1
+    assert len(_monomial_components(ss)) == 1
 
 
 def test_components_empty_and_epsilon():
-    assert components(SequenceSet(frozenset(), PAIR)) == []
-    comps = components(SequenceSet(seqs("", "a"), PAIR))
-    assert [c.sequences for c in comps] == [seqs(""), seqs("a")]
+    assert _monomial_components(SequenceSet(frozenset(), PAIR)) == set()
+    ss = SequenceSet(seqs("", "a"), PAIR)
+    assert _monomial_components(ss) == _monomial_sets(ss, [seqs(""), seqs("a")])
 
 
 def test_is_alr_set_examples():
@@ -178,7 +189,7 @@ def _alr_reference(ss: SequenceSet) -> bool:
     def rec(seqs_: frozenset) -> bool:
         if not seqs_ or seqs_ == seqs(""):
             return True
-        comps = [c.sequences for c in components(ss.with_sequences(seqs_))]
+        comps = components_oracle(ss.with_sequences(seqs_))
         if len(comps) > 1:
             return all(rec(c) for c in comps)
         lead = _leading_infoset(ss, seqs_)
@@ -288,38 +299,14 @@ def test_sequence_set_rejects_ambiguous_universe():
             Monomials(infosets)
 
 
-def _components_oracle(ss: SequenceSet) -> list[frozenset]:
-    """Sort the sequences, join the infosets of adjacent actions, and bucket
-    the sequences by the root of their first infoset in first-seen order;
-    epsilon forms its own bucket, moved to the front."""
-    key = {a: (i, j) for i, info in enumerate(ss.infosets) for j, a in enumerate(info.actions)}
-    owner = {a: info.id for info in ss.infosets for a in info.actions}
-    ordered = sorted(ss.sequences, key=lambda s: [key[a] for a in s])
-    parent = {owner[a]: owner[a] for s in ordered for a in s}
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for s in ordered:
-        for a, b in zip(s, s[1:]):
-            parent[find(owner[b])] = find(owner[a])
-    buckets: dict = {}
-    for s in ordered:
-        buckets.setdefault(find(owner[s[0]]) if s else None, []).append(s)
-    if None in buckets:
-        buckets = {None: buckets.pop(None), **buckets}
-    return [frozenset(b) for b in buckets.values()]
-
-
 @given(sequence_sets())
 @example(SequenceSet(seqs("", "c", "a", "e"), PAIR))
 @example(SequenceSet(seqs("e", "c", "", "a e", "d"), PAIR))
 @example(SequenceSet(seqs("x4", "y1 x2", "z0", "x3 y0"), FIVE))
 @settings(max_examples=300, deadline=None)
 def test_components_order_matches_sorted_buckets(ss):
-    assert [c.sequences for c in components(ss)] == _components_oracle(ss)
+    # the kernel's components, in no fixed order, are the oracle's buckets
+    assert _monomial_components(ss) == _monomial_sets(ss, components_oracle(ss))
 
 
 @given(sequence_sets())
@@ -372,8 +359,6 @@ def test_monomial_kernel_matches_tuple_steps(ss):
     # FIVE has three actions per infoset, so masks take two folds
     kernel = ss.universe
     ms = frozenset(ss.monomials.values())
-    comps = {frozenset(c.monomials.values()) for c in components(ss)}
-    assert set(kernel.components(ms)) == comps
     # a monomial's folded infoset mask is its sequence's table-sum mask
     table = kernel.infoset_bit
     masks = {s: kernel.infoset_mask(m) for s, m in ss.monomials.items()}
@@ -424,13 +409,12 @@ def test_monomial_kernel_checks_each_monomial():
 def test_components_partition_property(seed):
     rng = random.Random(seed)
     ss = random_realizable_set(rng)
-    comps = components(ss)
-    union = frozenset().union(*(c.sequences for c in comps)) if comps else frozenset()
-    assert union == ss.sequences
-    assert sum(len(c) for c in comps) == len(ss)
-    # quotients never retain the quotiented infoset
     kernel = ss.universe
     ms = frozenset(ss.monomials.values())
+    comps = kernel.components(ms)
+    assert frozenset().union(*comps) == ms
+    assert sum(map(len, comps)) == len(ms)
+    # quotients never retain the quotiented infoset
     for k, info in enumerate(THREE_BINARY):
         block = sum(kernel.action_bit[a] for a in info.actions)
         for q in kernel.branches(ms, k):

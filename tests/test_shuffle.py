@@ -11,7 +11,6 @@ from recall_forge.generators import FamilyParams, gen_lowerbound, gen_pennies, g
 from recall_forge.polynomials import leaf_monomials
 from recall_forge.seqsets import (
     SequenceSet,
-    components,
     covering_infoset,
     extract_histories,
     is_alr_set,
@@ -30,6 +29,7 @@ from conftest import (
     SPAN_DEMO_SET,
     build_shuffle_demo,
     build_span_demo,
+    components_oracle,
     random_realizable_set,
     sequence_sets,
     seqs,
@@ -126,8 +126,8 @@ def test_witness_agrees_with_bruteforce_oracle(seed):
 
 def _tuple_salr_witness(ss: SequenceSet) -> SalrResult:
     """`salr_witness` on tuples of actions, as it ran before the monomial
-    kernel: a `SequenceSet` at every node, components in `components`
-    order and the tuple branch step."""
+    kernel: a `SequenceSet` at every node, components in
+    `components_oracle` order and the tuple branch step."""
     failure = []
 
     def rec(seqs_: frozenset):
@@ -136,11 +136,11 @@ def _tuple_salr_witness(ss: SequenceSet) -> SalrResult:
         if seqs_ == seqs(""):
             return {(): ()}
         sub = ss.with_sequences(seqs_)
-        comps = components(sub)
+        comps = components_oracle(sub)
         if len(comps) > 1:
             out = {}
             for comp in comps:
-                got = rec(comp.sequences)
+                got = rec(comp)
                 if got is None:
                     return None
                 out.update(got)

@@ -239,7 +239,7 @@ def _refined_pfr(game, player):
     act_info = {a: i for i in s.infosets for a in i.actions}
     for leaf in s.leaves():
         h = history(s, leaf, player)
-        leaf_weight[h] = leaf_weight.get(h, Fraction(0)) + game.chance_weight(leaf) * game.utility[leaf]
+        leaf_weight[h] = leaf_weight.get(h, Fraction(0)) + game.chance_weights[leaf] * game.utility[leaf]
         for k in range(1, len(h) + 1):
             prefixes.add(h[:k])
     for p in prefixes:

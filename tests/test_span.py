@@ -23,7 +23,6 @@ from recall_forge.polynomials import monomial_sum, canonicalize
 from recall_forge import seqsets
 from recall_forge.seqsets import (
     SequenceSet,
-    components,
     covering_infoset,
     extract_histories,
     find_strongly_branching_subset,
@@ -53,6 +52,7 @@ from conftest import (
     THREE_BINARY,
     build_shuffle_demo,
     build_span_demo,
+    components_oracle,
     random_realizable_set,
     seqs,
     tuple_branches,
@@ -103,7 +103,7 @@ def test_lowerbound_shape():
     for n in (2, 3, 4):
         ss = gen_lowerbound(n)
         assert len(ss) == 2 * n + 2 * n * (n - 1)
-        assert len(components(ss)) == 1
+        assert len(components_oracle(ss)) == 1
         from recall_forge.seqsets import covering_infoset
 
         assert covering_infoset(ss) is None
@@ -170,14 +170,21 @@ def test_searches_use_the_sets_universe(monkeypatch):
 
 
 def test_searches_leave_no_reference_cycles(tmp_path):
-    # the searches' recursions and the document walks hold no reference to
+    # the searches' recursions, the document walks, the brute force's payoff
+    # walk and the random generator's builder hold no reference to
     # themselves, so their memos, the sets' universes and the parsed nodes
     # go as soon as each call returns
     game = gen_pennies("III", 8)
     path = tmp_path / "game.json"
     path.write_text(serialize_game(game))
-    # (command, exit code): pennies-III has no shuffled A-loss recall
-    commands = (("span", 0), ("solve", 0), ("shuffle", 2))
+    # (argv, exit code): pennies-III has no shuffled A-loss recall
+    commands = (
+        (["span", str(path)], 0),
+        (["solve", str(path)], 0),
+        (["solve", str(path), "--method", "bruteforce"], 0),
+        (["shuffle", str(path)], 2),
+        (["gen", "random", "--seed", "3"], 0),
+    )
     cli_main(["classify", str(path)], io.StringIO(), io.StringIO())  # builds the parser
     gc.collect()
     gc.disable()
@@ -185,9 +192,9 @@ def test_searches_leave_no_reference_cycles(tmp_path):
         solve(game)
         shuffle_depth(extract_histories(game.structure))
         assert gc.collect() == 0
-        for command, code in commands:
-            assert cli_main([command, str(path)], io.StringIO(), io.StringIO()) == code
-            assert gc.collect() == 0, command
+        for argv, code in commands:
+            assert cli_main(argv, io.StringIO(), io.StringIO()) == code
+            assert gc.collect() == 0, argv
     finally:
         gc.enable()
 
@@ -207,7 +214,7 @@ def _tuple_span_search(ss: SequenceSet, stats: SpanStats) -> frozenset:
             return memo[seqs_]
         stats.subproblems += 1
         sub = ss.with_sequences(seqs_)
-        comps = [c.sequences for c in components(sub)]
+        comps = components_oracle(sub)
         if len(comps) > 1:
             result = frozenset().union(*(rec(c) for c in comps))
         else:
@@ -236,7 +243,7 @@ def _tuple_shuffle_depth(ss: SequenceSet) -> int:
         if seqs_ in memo:
             return memo[seqs_]
         sub = ss.with_sequences(seqs_)
-        comps = [c.sequences for c in components(sub)]
+        comps = components_oracle(sub)
         if len(comps) > 1:
             ans = max(rec(c) for c in comps)
         else:
@@ -585,7 +592,7 @@ def test_minimal_span_is_componentwise_additive():
         ss = drawn.with_sequences(s for s in drawn.sequences if s)  # spans never need eps
         if not ss.sequences:
             continue
-        comps = components(ss)
+        comps = [ss.with_sequences(c) for c in components_oracle(ss)]
         total = sum(len(minimal_span(c).span) for c in comps)
         assert len(minimal_span(ss).span) == total
 
@@ -645,7 +652,7 @@ def _sd_oracle(ss: SequenceSet) -> int:
     if not seqs_ or seqs_ == frozenset({()}):
         return 0
     sub = ss.with_sequences(seqs_)
-    comps = components(sub)
+    comps = [sub.with_sequences(c) for c in components_oracle(sub)]
     if len(comps) > 1:
         return max(_sd_oracle(c) for c in comps)
     if salr_bruteforce_oracle(sub):

@@ -92,8 +92,8 @@ def test_transfer_traces_duplicate_histories():
         seq = target.histories[leaf]
         sources = [src for src in s.leaves() if seq in cert.combinations[s.histories[src]]]
         assert len(sources) == 3
-        expected = sum(game.chance_weight(src) * game.utility[src] for src in sources)
-        assert out.game.utility[leaf] == expected / out.game.chance_weight(leaf)
+        expected = sum(game.chance_weights[src] * game.utility[src] for src in sources)
+        assert out.game.utility[leaf] == expected / out.game.chance_weights[leaf]
 
 
 def test_transfer_rejects_mismatched_certificate(perfect_recall_demo, span_demo):
@@ -109,7 +109,7 @@ def test_transfer_payoff_bit_growth_is_logarithmic():
         game = gen_random(FamilyParams(family="random", seed=seed, depth=4, branching=3))
         source_bits = max(
             (
-                _doc_bits(game.utility[leaf]) + _doc_bits(game.chance_weight(leaf))
+                _doc_bits(game.utility[leaf]) + _doc_bits(game.chance_weights[leaf])
                 for leaf in game.structure.leaves()
             ),
             default=2,
@@ -194,11 +194,11 @@ def _old_transfer_payoffs(source, certificate):
     bucket = {}
     for leaf in source.structure.leaves():
         hist = history(source.structure, leaf)
-        w = source.chance_weight(leaf)
+        w = source.chance_weights[leaf]
         for target_seq in certificate.combinations[hist]:
             bucket[target_seq] = bucket.get(target_seq, Fraction(0)) + w * source.utility[leaf]
     utility = {
-        leaf: bucket.get(history(target, leaf), Fraction(0)) / shell.chance_weight(leaf)
+        leaf: bucket.get(history(target, leaf), Fraction(0)) / shell.chance_weights[leaf]
         for leaf in target.leaves()
     }
     return Game(structure=target, chance=chance, utility=utility)
@@ -242,7 +242,7 @@ def _old_compose_two_player(source, span_max, span_min):
     for leaf in source.structure.leaves():
         h_max = history(source.structure, leaf, MAX)
         h_min = history(source.structure, leaf, MIN)
-        w = source.chance_weight(leaf)
+        w = source.chance_weights[leaf]
         for m in span_max.combinations[h_max]:
             for v in span_min.combinations[h_min]:
                 key = (m, v)
@@ -250,7 +250,7 @@ def _old_compose_two_player(source, span_max, span_min):
     utility = {}
     for leaf in composed.leaves():
         key = (history(composed, leaf, MAX), history(composed, leaf, MIN))
-        utility[leaf] = bucket.get(key, Fraction(0)) / shell.chance_weight(leaf)
+        utility[leaf] = bucket.get(key, Fraction(0)) / shell.chance_weights[leaf]
     return Game(structure=composed, chance=chance, utility=utility)
 
 
