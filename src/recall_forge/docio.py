@@ -285,14 +285,18 @@ def serialize_game(game: Game) -> str:
 
 
 def serialize_certificate(cert: SpanCertificate) -> str:
+    """The certificate document: each generator list in plain `sorted()`
+    order, found by each generator's rank in the sorted span (generators
+    are span sequences, as in every certificate `verify_span` returns)."""
     original = cert.original.sorted_sequences()
+    rank = {s: k for k, s in enumerate(sorted(cert.span.sequences))}
     doc = {
         "version": FORMAT_VERSION,
         "infosets": _infoset_docs(cert.original.infosets),
         "original": original,
         "span": cert.span.sorted_sequences(),
         "combinations": [
-            {"sequence": s, "generators": sorted(cert.combinations[s])}
+            {"sequence": s, "generators": sorted(cert.combinations[s], key=rank.__getitem__)}
             for s in original
         ],
     }

@@ -359,39 +359,35 @@ def find_strongly_branching_subset(ss: SequenceSet) -> Optional[SequenceSet]:
     """A strongly branching subset of the set, or None.
 
     Deterministic: an epsilon member is preferred, then infosets are
-    tried in declaration order and the first full branch wins.  The
-    recursion is `_branching`, which `span.verify_span` runs too.
+    tried in declaration order and the first full branch wins.  Recurses
+    on plain frozensets of suffixes through `_lead`, with one memo: an
+    answer depends only on the set.
     """
-    got = _branching(ss.sequences, ss.infosets, ss.universe, {})
-    return None if got is None else ss.with_sequences(got)
+    infosets, universe = ss.infosets, ss.universe
+    memo: dict[frozenset[Sequence], Optional[frozenset[Sequence]]] = {}
 
-
-def _branching(
-    seqs: frozenset[Sequence],
-    infosets: tuple[InformationSet, ...],
-    universe: Monomials,
-    memo: dict[frozenset[Sequence], Optional[frozenset[Sequence]]],
-) -> Optional[frozenset[Sequence]]:
-    """The strongly-branching recursion over one universe: the strongly
-    branching subset of `seqs` (subsequences of validated sequences) that
-    `find_strongly_branching_subset` picks, or None.  Answers depend only
-    on the set, so every set searched with one `memo` shares them.
-    """
-    if EPSILON in seqs:
-        return frozenset({EPSILON})
-    if seqs in memo:
-        return memo[seqs]
-    memo[seqs] = None  # until a full branch is found
-    groups = _lead(seqs, universe)
-    for low in sorted(groups):  # declaration order
-        conts = groups[low]
-        picked: list[Sequence] = []
-        for a in infosets[universe.position[low]].actions:
-            sub = _branching(conts[a], infosets, universe, memo) if a in conts else None
-            if sub is None:
+    def rec(seqs: frozenset[Sequence]) -> Optional[frozenset[Sequence]]:
+        if EPSILON in seqs:
+            return frozenset({EPSILON})
+        if seqs in memo:
+            return memo[seqs]
+        memo[seqs] = None  # until a full branch is found
+        groups = _lead(seqs, universe)
+        for low in sorted(groups):  # declaration order
+            conts = groups[low]
+            picked: list[Sequence] = []
+            for a in infosets[universe.position[low]].actions:
+                sub = rec(conts[a]) if a in conts else None
+                if sub is None:
+                    break
+                picked.extend((a,) + t for t in sub)
+            else:
+                memo[seqs] = frozenset(picked)
                 break
-            picked.extend((a,) + t for t in sub)
-        else:
-            memo[seqs] = frozenset(picked)
-            break
-    return memo[seqs]
+        return memo[seqs]
+
+    try:
+        got = rec(ss.sequences)
+    finally:
+        del rec  # `rec` refers to itself; dropping it frees it and the memo now
+    return None if got is None else ss.with_sequences(got)

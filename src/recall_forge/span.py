@@ -20,21 +20,22 @@ subproblem.  Both searches run the one memoized recursion
 connected set.  Where they try every present infoset, they skip those
 that `Monomials.candidates` finds to be an earlier one renamed, which
 gives the same size or depth and so only ties; this keeps families of
-interchangeable infosets, such as pennies-III, polynomial.  The verifier
-and `realize_sequence_set` read the first action of each sequence, so
-order matters to them: they recurse on tuples through the one
-first-action split of `seqsets`, and build no `SequenceSet` per
-recursion node.
+interchangeable infosets, such as pennies-III, polynomial.
+`realize_sequence_set` reads the first action of each sequence, so order
+matters to it: it recurses on tuples through the one first-action split
+of `seqsets`, and builds no `SequenceSet` per recursion node.
 
-The verifier is independent of the construction: it checks that the
-candidate has A-loss recall, then for each original sequence s it finds
-the candidate's supersequences of s by a bit test on the candidate's
-monomials, divides s out of them, and searches the quotients for a
-strongly branching subset with the recursion of
-`seqsets.find_strongly_branching_subset`, whose memo one verification
-shares across every s.  It returns a certificate or raises for the first
-failure.  Certificates store those subsets, so payoff transfer can
-replay them without re-deriving anything.
+The verifier is independent of the construction and reads action order
+too: it checks that the candidate has A-loss recall, builds the
+candidate's prefix tree once, and for each original sequence s walks
+that tree for a set of candidates that divide by s into a strongly
+branching set (the subset `seqsets.find_strongly_branching_subset`
+picks from those quotients).  The walk follows s's actions where they
+lead and branches on full information sets elsewhere; its memo on
+(node, actions of s still to pass) serves every s, and no quotient is
+built.  It returns a certificate or raises for the first failure.
+Certificates store those subsets, so payoff transfer can replay them
+without re-deriving anything.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .seqsets import (
     EPSILON,
     Sequence,
     SequenceSet,
-    _branching,
     _lead,
     is_alr_set,
 )
@@ -219,13 +219,14 @@ def shuffle_depth(ss: SequenceSet) -> int:
 def verify_span(original: SequenceSet, candidate: SequenceSet) -> SpanCertificate:
     """Check that the candidate generates every original monomial.
 
-    For each original sequence s, the candidate sequences containing all
-    of s's actions are divided by s; a strongly branching subset of the
-    quotients certifies that the matching candidates sum to the monomial
-    of s.  Returns the certificate.  A candidate without A-loss recall
-    raises `NotAlrCandidateError`, and one that cannot generate some
-    original monomial raises `UnspannedSequenceError`, naming the first
-    such sequence in `sorted_sequences` order.
+    For each original sequence s, a set of candidate sequences holding
+    all of s's actions whose quotients by s are strongly branching
+    certifies that those candidates sum to the monomial of s; the prefix
+    walk of `_generator_sets` finds it.  Returns the certificate.  A
+    candidate without A-loss recall raises `NotAlrCandidateError`, and
+    one that cannot generate some original monomial raises
+    `UnspannedSequenceError`, naming the first such sequence in
+    `sorted_sequences` order.
     """
     if not is_alr_set(candidate):
         raise NotAlrCandidateError("candidate is not an A-loss-recall set")
@@ -241,36 +242,89 @@ def _generator_sets(
     """The generator set of each original sequence in `sorted_sequences`
     order, up to the first that has none; that sequence, or None.
 
-    The caller has checked that the candidate has A-loss recall.  Runs
-    on the candidate's universe: a candidate sequence holds every action
-    of s exactly when its monomial holds s's monomial, so only those
-    candidates are divided by s.  When two give the same quotient, the
-    first in sort order stands for it.  An action the candidate's
-    universe lacks leaves s without a generator set.  The quotients are
-    subsequences of the validated candidate's sequences, so the strongly
-    branching search takes them as plain frozensets, with one memo for
-    the whole call.
+    The caller has checked that the candidate has A-loss recall.  Walks
+    the candidate's prefix tree, with candidates numbered in
+    `sorted_sequences` order, once per original sequence s, carrying the
+    mask of s's actions not yet passed.  Where one of those actions
+    leads out of a node, the walk takes that child only: lead groups of
+    an A-loss-recall set touch disjoint information sets, so no other
+    branch holds the action.  Elsewhere the node's fully branching lead
+    infosets are tried in declaration order, and the first whose every
+    action's child answers wins; with the mask empty, a node where a
+    candidate ends answers that candidate.  Answers are bitsets of
+    candidate numbers, with one memo on (node, mask) for the whole call.
+    An action the candidate's universe lacks leaves s without a
+    generator set.
     """
-    bit = candidate.universe.action_bit
-    coded = [(candidate.monomials[c], c) for c in candidate.sorted_sequences()]
-    memo: dict[frozenset[Sequence], Optional[frozenset[Sequence]]] = {}
+    kernel = candidate.universe
+    bit = kernel.action_bit
+    ordered = candidate.sorted_sequences()
+    ends = [-1]  # per node: the number of the candidate ending there, or -1
+    kids: list[dict[int, int]] = [{}]  # per node: action bit -> child node
+    for i, c in enumerate(ordered):
+        v = 0
+        for b in map(bit.__getitem__, c):
+            child = kids[v].get(b)
+            if child is None:
+                child = kids[v][b] = len(ends)
+                ends.append(-1)
+                kids.append({})
+            v = child
+        ends[v] = i
+    leads: list[int] = []  # per node: the OR of its children's action bits
+    groups: list[list[tuple[int, ...]]] = []  # per node: its full lead groups
+    for children in kids:
+        leads.append(sum(children))
+        by_infoset: dict[int, list[int]] = {}
+        for b, child in children.items():  # built in sorted order: declaration order
+            by_infoset.setdefault(kernel.infoset_mask(b), []).append(child)
+        groups.append([
+            tuple(g)
+            for low, g in by_infoset.items()
+            if len(g) == len(candidate.infosets[kernel.position[low]].actions)
+        ])
+    memo: dict[tuple[int, int], int] = {}
+
+    def walk(v: int, m: int) -> int:
+        got = memo.get((v, m))
+        if got is None:
+            hit = leads[v] & m
+            if not m and ends[v] >= 0:
+                got = 1 << ends[v]
+            elif hit:
+                low = hit & -hit
+                got = walk(kids[v][low], m ^ low)
+            else:
+                got = 0
+                for group in groups[v]:
+                    picked = 0
+                    for child in group:
+                        sub = walk(child, m)
+                        if not sub:
+                            break
+                        picked |= sub
+                    else:
+                        got = picked
+                        break
+            memo[(v, m)] = got
+        return got
+
     combos: dict[Sequence, frozenset[Sequence]] = {}
     missing: Optional[Sequence] = None
-    for s in original.sorted_sequences():
-        if not all(map(bit.__contains__, s)):
-            missing = s
-            break
-        m = sum(map(bit.__getitem__, s))
-        held = frozenset(s).__contains__
-        source: dict[Sequence, Sequence] = {}
-        for cm, c in coded:
-            if cm & m == m:
-                source.setdefault(tuple(itertools.filterfalse(held, c)), c)
-        found = _branching(frozenset(source), candidate.infosets, candidate.universe, memo)
-        if found is None:
-            missing = s
-            break
-        combos[s] = frozenset(map(source.__getitem__, found))
+    try:
+        for s in original.sorted_sequences():
+            found = walk(0, sum(map(bit.__getitem__, s))) if all(map(bit.__contains__, s)) else 0
+            if not found:
+                missing = s
+                break
+            picked = []
+            while found:
+                low = found & -found
+                picked.append(ordered[low.bit_length() - 1])
+                found ^= low
+            combos[s] = frozenset(picked)
+    finally:
+        del walk  # `walk` refers to itself; dropping it frees it and the memo now
     return combos, missing
 
 

@@ -2,11 +2,14 @@
 
 One weight step, `sequence_weights`, gives each target sequence the
 chance weight x payoff of the source leaves that generate it; the span
-route of `solver.solve` reads these weights directly.  Payoffs move onto
-a span structure through the same step, so both games induce the same
-payoff polynomial: chance in the rebuilt tree is uniform, and each target
-leaf receives its sequence's weight divided by its own chance weight,
-which cancels the uniform choice.
+route of `solver.solve` reads these weights directly.  The step scales
+every leaf's value once, onto the common denominator of all the leaves,
+and sums integers: the weights are linear in the leaf values, so this is
+exact, and each sequence's `Fraction` is built once, from its
+numerator.  Payoffs move onto a span structure through the same step,
+so both games induce the same payoff polynomial: chance in the rebuilt
+tree is uniform, and each target leaf receives its sequence's weight
+divided by its own chance weight, which cancels the uniform choice.
 
 Two-player composition stacks one player's span tree on top of the
 other's: a copy of the second tree replaces every leaf of the first, with
@@ -17,6 +20,7 @@ every source leaf whose two combinations list those sequences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -54,13 +58,22 @@ def sequence_weights(
     source: Game, generated: Callable[[NodeId], Iterable[Sequence]]
 ) -> dict[Sequence, Fraction]:
     """Each sequence -> the sum of chance weight x payoff over the source
-    leaves that `generated` maps to it."""
-    out: dict[Sequence, Fraction] = {}
-    for leaf in source.structure.leaves():
-        value = source.chance_weights[leaf] * source.utility[leaf]
+    leaves that `generated` maps to it.
+
+    The sums are exact integer numerators over one common denominator,
+    the lcm of every leaf's chance-weight denominator x payoff
+    denominator; each sequence gets one `Fraction` at the end.
+    """
+    leaves = source.structure.leaves()
+    weights, utility = source.chance_weights, source.utility
+    scales = [weights[leaf].denominator * utility[leaf].denominator for leaf in leaves]
+    d = math.lcm(*scales)
+    sums: dict[Sequence, int] = {}
+    for leaf, scale in zip(leaves, scales):
+        value = weights[leaf].numerator * utility[leaf].numerator * (d // scale)
         for seq in generated(leaf):
-            out[seq] = out.get(seq, 0) + value
-    return out
+            sums[seq] = sums.get(seq, 0) + value
+    return {seq: Fraction(n, d) for seq, n in sums.items()}
 
 
 def _assign_payoffs(

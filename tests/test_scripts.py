@@ -1,6 +1,7 @@
 """Smoke tests: the scripts under scripts/ run against the current package,
 the benchmark tracer finds every function it wraps, the benchmark's
-workloads set up against the package, and every public definition of the
+workloads set up against the package, every committed bench record
+covers the benchmark's workloads, and every public definition of the
 package, and every public method of its public classes, is used somewhere."""
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ import ast
 import builtins
 import importlib
 import importlib.util
+import json
 import subprocess
 import sys
 from collections import Counter
@@ -65,6 +67,19 @@ def test_benchmark_workloads_set_up(monkeypatch, tmp_path):
         workdir = tmp_path / name
         workdir.mkdir()
         assert workload().setup(1, workdir), name
+
+
+def test_bench_files_cover_every_workload():
+    # each committed BENCH_*.json records alternating parent/change pairs
+    # of the benchmark, with one entry per workload BENCHMARK.json declares
+    declared = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
+    files = sorted(ROOT.glob("BENCH_*.json"))
+    assert files
+    for path in files:
+        doc = json.loads(path.read_text())
+        assert {"label", "command", "parent", "change"} <= set(doc), path.name
+        assert doc["pairs"] >= 10, path.name
+        assert set(doc["workloads"]) == declared, path.name
 
 
 def _names(tree):

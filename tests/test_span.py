@@ -13,6 +13,7 @@ from recall_forge.cli import cli_main
 from recall_forge.docio import serialize_game
 from recall_forge.model import (
     MAX,
+    ChanceNode,
     GameError,
     InformationSet,
     RecallClass,
@@ -370,6 +371,60 @@ def test_verify_span_foreign_action_is_a_negative_answer():
     assert missing == ("z",)
     assert combos == verify_span(ss, candidate).combinations
     assert list(combos) == ordered[:-1]
+
+
+# Two lead groups under a chance split: X (with Z below x) and Y (with W
+# below both of its actions).  They touch disjoint information sets, as
+# in every A-loss-recall set.
+SPLIT_INFOSETS = tuple(
+    InformationSet(name, MAX, (name.lower(), name.lower() + "bar")) for name in "XYZW"
+)
+SPLIT_CANDIDATE = seqs("x z", "x zbar", "xbar", "y w", "y wbar", "ybar w", "ybar wbar")
+
+
+def _split_certificate(*words: str):
+    original = SequenceSet(seqs(*words), SPLIT_INFOSETS)
+    candidate = SequenceSet(SPLIT_CANDIDATE, SPLIT_INFOSETS)
+    assert is_alr_set(candidate)
+    realized = realize_sequence_set(candidate)
+    assert isinstance(realized.nodes[realized.root], ChanceNode)
+    got = _generator_sets(original, candidate)
+    assert got == _tuple_generator_sets(original, candidate)
+    return got
+
+
+def test_verify_span_tries_lead_groups_in_declaration_order():
+    combos, missing = _split_certificate("", "w")
+    assert missing is None
+    # both groups branch fully for eps, and the first declared wins
+    assert combos[()] == seqs("x z", "x zbar", "xbar")
+    # for w only the second group does: below x nothing holds w
+    assert combos[("w",)] == seqs("y w", "ybar w")
+
+
+def test_verify_span_follows_an_action_into_its_group():
+    # x leads out of the root in one group only; the walk passes it and
+    # branches below it, and a later action is passed the same way
+    combos, missing = _split_certificate("x", "y w", "xbar")
+    assert missing is None
+    assert combos == {
+        ("x",): seqs("x z", "x zbar"),
+        ("xbar",): seqs("xbar"),
+        ("y", "w"): seqs("y w"),
+    }
+
+
+def test_verify_span_names_the_first_unspanned_sequence():
+    # z sits below x only, so no generator set sums to z; w, after it in
+    # sort order, has one, and the sequences before z keep theirs
+    combos, missing = _split_certificate("", "x", "z", "w")
+    assert missing == ("z",)
+    assert list(combos) == [(), ("x",)]
+    original = SequenceSet(seqs("", "x", "z", "w"), SPLIT_INFOSETS)
+    assert original.sorted_sequences()[-1] == ("w",)
+    with pytest.raises(UnspannedSequenceError) as info:
+        verify_span(original, SequenceSet(SPLIT_CANDIDATE, SPLIT_INFOSETS))
+    assert info.value.sequence == ("z",)
 
 
 def _first_branching_subset(seqs: frozenset, infosets, memo: dict):

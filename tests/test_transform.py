@@ -28,7 +28,12 @@ from recall_forge.span import (
     structure_from_sequences,
     verify_span,
 )
-from recall_forge.transform import compose_two_player, transfer_payoffs, uniform_chance
+from recall_forge.transform import (
+    compose_two_player,
+    sequence_weights,
+    transfer_payoffs,
+    uniform_chance,
+)
 
 from conftest import build_span_demo, build_two_player_demo, wide_span_set
 
@@ -122,6 +127,64 @@ def test_transfer_payoff_bit_growth_is_logarithmic():
         assert all(
             _doc_bits(u) <= budget for u in out.game.utility.values()
         )
+
+
+def _fraction_weights(source, generated):
+    """`transform.sequence_weights` as one `Fraction` addition per (leaf,
+    sequence): the reference for its integer sums."""
+    out = {}
+    for leaf in source.structure.leaves():
+        value = source.chance_weights[leaf] * source.utility[leaf]
+        for seq in generated(leaf):
+            out[seq] = out.get(seq, 0) + value
+    return out
+
+
+def _composed_sequences(game, cert_max, cert_min):
+    """The `generated` map of `compose_two_player`: every Max generator
+    followed by every Min generator."""
+    s = game.structure
+
+    def generated(leaf):
+        maxes = cert_max.combinations[history(s, leaf, MAX)]
+        mins = cert_min.combinations[history(s, leaf, MIN)]
+        return [m + v for m in maxes for v in mins]
+
+    return generated
+
+
+def test_integer_sequence_weights_match_fraction_sums():
+    # random chance draws w/total are not dyadic, transferred payoffs are
+    # fractions, and composition sends a leaf to many sequence pairs; the
+    # leaves' denominators differ, so sums that skipped the scaling onto
+    # the common denominator would not match the reference
+    cases = []
+    for seed in range(1, 31):
+        game = gen_random(FamilyParams(family="random", seed=seed))
+        s = game.structure
+        cert = minimal_span(extract_histories(s))
+        cases.append((game, lambda leaf, s=s: (s.histories[leaf],)))
+        cases.append((game, lambda leaf, s=s, c=cert: c.combinations[s.histories[leaf]]))
+        out = transfer_payoffs(game, cert).game
+        cases.append((out, lambda leaf, t=out.structure: (t.histories[leaf],)))
+    for seed in range(1, 21):
+        game = gen_random(FamilyParams(family="random", seed=seed, players=2))
+        if set(game.structure.players()) == {MAX, MIN}:
+            cert_max = minimal_span(extract_histories(game.structure, MAX))
+            cert_min = minimal_span(extract_histories(game.structure, MIN))
+            cases.append((game, _composed_sequences(game, cert_max, cert_min)))
+    mixed = 0
+    for source, generated in cases:
+        got = sequence_weights(source, generated)
+        want = _fraction_weights(source, generated)
+        assert got == want and list(got) == list(want)
+        assert all(type(v) is Fraction for v in got.values())
+        scales = {
+            source.chance_weights[leaf].denominator * source.utility[leaf].denominator
+            for leaf in source.structure.leaves()
+        }
+        mixed += len(scales) > 1
+    assert (len(cases), mixed) == (30 * 3 + 18, 99)
 
 
 def test_compose_two_player_demo():
